@@ -8,6 +8,8 @@
 #include <string>
 
 #include "bench_common.h"
+#include "crypto/ca.h"
+#include "crypto/channel.h"
 #include "field/primes.h"
 #include "math/poly.h"
 #include "math/poly_engine.h"
@@ -283,6 +285,62 @@ void BM_PolyDomainBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolyDomainBuild)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+// --- Certificate and channel crypto (docs/observability.md "crypto.*") ----
+// The fixed per-reboot and per-message costs: one exponentiation with a
+// full-width exponent (the shape of Fermat Inv and of DH), a Schnorr cert
+// verification, a DH key agreement over the 512-bit group, and one sealed
+// frame opened on the other end.
+
+void BM_PowBytes(benchmark::State& state) {
+  const FpCtx& ctx = CtxFor(state.range(0));
+  Rng rng(12);
+  FpElem a = ctx.RandomNonZero(rng);
+  const pisces::Bytes e = rng.RandomBytes(ctx.elem_bytes());
+  for (auto _ : state) {
+    a = ctx.PowBytes(a, e);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_PowBytes)->Arg(256)->Arg(512)->Arg(1024);
+
+void BM_SchnorrVerify(benchmark::State& state) {
+  namespace crypto = pisces::crypto;
+  const crypto::SchnorrGroup& group = crypto::SchnorrGroup::Default();
+  Rng rng(13);
+  crypto::CertAuthority ca(group, rng);
+  const crypto::HostCert cert = ca.IssueHostKey(3, 1, rng).first;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::CertAuthority::VerifyCert(group, ca.public_key(), cert));
+  }
+}
+BENCHMARK(BM_SchnorrVerify);
+
+void BM_DhSharedSecret(benchmark::State& state) {
+  namespace crypto = pisces::crypto;
+  const crypto::SchnorrGroup& group = crypto::SchnorrGroup::Default();
+  Rng rng(14);
+  const crypto::SchnorrKeyPair mine = crypto::SchnorrKeygen(group, rng);
+  const crypto::SchnorrKeyPair peer = crypto::SchnorrKeygen(group, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::DhSharedSecret(group, mine.sk, peer.pk));
+  }
+}
+BENCHMARK(BM_DhSharedSecret);
+
+void BM_ChannelSealOpen(benchmark::State& state) {
+  Rng rng(15);
+  const pisces::Bytes ka = rng.RandomBytes(64), kb = rng.RandomBytes(64);
+  pisces::crypto::SecureChannel tx(ka, kb), rx(kb, ka);
+  const pisces::Bytes msg = rng.RandomBytes(state.range(0));
+  for (auto _ : state) {
+    auto pt = rx.Open(tx.Seal(msg));
+    benchmark::DoNotOptimize(pt);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ChannelSealOpen)->Arg(64)->Arg(4096);
 
 }  // namespace
 

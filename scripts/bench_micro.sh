@@ -14,13 +14,25 @@
 # untrustworthy for this (it reports how the installed benchmark LIBRARY was
 # compiled -- "debug" for the distro package -- not how our code was).
 #
-# Usage: scripts/bench_micro.sh [build-dir]   (default: build-rel)
+# The cert/channel crypto benches (exponentiation, Schnorr verify, DH,
+# seal+open) land in a "crypto" section. Given a second build dir -- a
+# Release build of micro_field_ops at another commit, compiled with this
+# commit's bench/micro_field_ops.cpp so it has the same benches -- the crypto
+# set runs on both binaries in alternating rounds (the one on a shared host
+# is never measured in a quieter phase than the other), and each entry gains
+# that binary's figure as before_ns and the speedup.
+#
+# Usage: scripts/bench_micro.sh [build-dir] [before-build-dir]
+#        (default build dir: build-rel)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-rel}"
+BEFORE_DIR="${2:-}"
 RAW_FIELD_JSON="$BUILD_DIR/micro_field_raw.json"
 RAW_POLY_JSON="$BUILD_DIR/micro_poly_raw.json"
+CRYPTO_FILTER='BM_(PowBytes|SchnorrVerify|DhSharedSecret|ChannelSealOpen|FieldInv)'
+CRYPTO_ROUNDS=15
 OUT_JSON="BENCH_field.json"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
@@ -51,20 +63,56 @@ fi
   --benchmark_out_format=json \
   --benchmark_repetitions=3
 
-python3 - "$RAW_FIELD_JSON" "$RAW_POLY_JSON" "$OUT_JSON" <<'EOF'
+# Short crypto rounds (0.1 s per benchmark), alternating which binary goes
+# first: the host's contention phases last under a second, so both binaries
+# sample the same mix of them. The min across all rounds of a binary is its
+# figure.
+crypto_run() {  # <binary dir> <raw output>
+  "$1/bench/micro_field_ops" \
+    --benchmark_filter="$CRYPTO_FILTER" \
+    --benchmark_out="$2" \
+    --benchmark_out_format=json \
+    --benchmark_min_time=0.1
+}
+rm -f "$BUILD_DIR"/micro_crypto_*.json
+for round in $(seq "$CRYPTO_ROUNDS"); do
+  if [ -n "$BEFORE_DIR" ] && [ $((round % 2)) -eq 0 ]; then
+    crypto_run "$BEFORE_DIR" "$BUILD_DIR/micro_crypto_before_$round.json"
+  fi
+  crypto_run "$BUILD_DIR" "$BUILD_DIR/micro_crypto_after_$round.json"
+  if [ -n "$BEFORE_DIR" ] && [ $((round % 2)) -eq 1 ]; then
+    crypto_run "$BEFORE_DIR" "$BUILD_DIR/micro_crypto_before_$round.json"
+  fi
+done
+
+python3 - "$RAW_FIELD_JSON" "$RAW_POLY_JSON" "$OUT_JSON" "$BUILD_DIR" <<'EOF'
+import glob
 import json
+import os
 import sys
 
 field_path, poly_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
+build_dir = sys.argv[4]
 with open(field_path) as f:
     raw_field = json.load(f)
 with open(poly_path) as f:
     raw_poly = json.load(f)
 
+def load_all(side):
+    paths = sorted(glob.glob(os.path.join(build_dir, f"micro_crypto_{side}_*.json")))
+    out = []
+    for p in paths:
+        with open(p) as f:
+            out.append(json.load(f))
+    return out
+
+raw_after = load_all("after")
+raw_before = load_all("before")
+
 # HARD GATE: numbers from a non-release build are not publishable. The key is
 # emitted by our own translation unit (NDEBUG check), because the library's
 # own library_build_type describes the distro libbenchmark, not our code.
-for raw in (raw_field, raw_poly):
+for raw in [raw_field, raw_poly] + raw_after + raw_before:
     build_type = raw.get("context", {}).get("pisces_build_type")
     if build_type != "release":
         sys.exit(f"bench_micro.sh: refusing non-release numbers "
@@ -132,6 +180,29 @@ for n in sorted(ns.get("BM_PolyInterpTree", {})):
         "domain_build_ns": ns["BM_PolyDomainBuild"][n],
         "batchinv_ns": ns["BM_BatchInv"][n],
     }
+
+# Cert and channel crypto, keyed by the full benchmark name (e.g.
+# "BM_PowBytes/512", "BM_SchnorrVerify"); min across every repetition of
+# every round, as above.
+def min_by_name(raws):
+    out = {}
+    for raw in raws:
+        for b in raw["benchmarks"]:
+            if b.get("run_type") != "iteration":
+                continue
+            name = b["run_name"]
+            out[name] = min(out.get(name, float("inf")), b["real_time"])
+    return out
+
+after = min_by_name(raw_after)
+before = min_by_name(raw_before)
+result["crypto"] = {}
+for name in sorted(after):
+    entry = {"after_ns": after[name]}
+    if name in before:
+        entry["before_ns"] = before[name]
+        entry["speedup"] = ratio(before[name], after[name])
+    result["crypto"][name] = entry
 
 mul256 = result["sizes"].get("256", {}).get("mul_speedup")
 interp1024 = result["poly"].get("1024", {}).get("interp_speedup")

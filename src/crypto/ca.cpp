@@ -1,5 +1,8 @@
 #include "crypto/ca.h"
 
+#include "obs/registry.h"
+#include "obs/trace.h"
+
 namespace pisces::crypto {
 
 Bytes HostCert::SignedPayload() const {
@@ -30,6 +33,13 @@ HostCert HostCert::Deserialize(std::span<const std::uint8_t> data) {
   return cert;
 }
 
+bool SupersedesInstalled(const HostCert* installed, const HostCert& cert) {
+  if (installed == nullptr || installed->epoch < cert.epoch) return true;
+  Require(installed->epoch > cert.epoch || *installed == cert,
+          "conflicting cert for an installed (host, epoch)");
+  return false;
+}
+
 CertAuthority::CertAuthority(const SchnorrGroup& group, Rng& rng)
     : group_(group), keys_(SchnorrKeygen(group, rng)) {}
 
@@ -48,6 +58,10 @@ std::pair<HostCert, Bytes> CertAuthority::IssueHostKey(std::uint32_t host_id,
 bool CertAuthority::VerifyCert(const SchnorrGroup& group,
                                std::span<const std::uint8_t> ca_pk,
                                const HostCert& cert) {
+  static obs::Counter& count = obs::RegisterCounter(
+      "crypto.cert_verifies", "host-cert signature verifications");
+  count.Add();
+  obs::Span span(obs::SpanKind::kCertVerify, cert.host_id, cert.epoch);
   return SchnorrVerify(group, ca_pk, cert.SignedPayload(), cert.sig);
 }
 

@@ -19,12 +19,23 @@ struct HostCert {
   Bytes host_pk;
   SchnorrSignature sig;
 
+  bool operator==(const HostCert&) const = default;
+
   Bytes Serialize() const;
   static HostCert Deserialize(std::span<const std::uint8_t> data);
 
   // The byte string the CA signs.
   Bytes SignedPayload() const;
 };
+
+// The install rule of every cert directory (hosts and clients), applied
+// before any signature check so each (host, epoch) is verified once per
+// receiver: true when `cert` is for a newer epoch than `installed` (or none is
+// installed). An older epoch is stale: false. At the installed epoch an
+// identical cert is a re-delivery (false) and a different one throws
+// InvalidArgument -- it is forged or replayed, and installing it would reset
+// that host's channel and its anti-replay counters.
+bool SupersedesInstalled(const HostCert* installed, const HostCert& cert);
 
 class CertAuthority {
  public:

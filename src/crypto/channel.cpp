@@ -2,7 +2,6 @@
 
 #include "crypto/chacha20.h"
 #include "crypto/hkdf.h"
-#include "crypto/hmac.h"
 
 namespace pisces::crypto {
 
@@ -23,11 +22,19 @@ std::pair<Bytes, Bytes> DeriveChannelKeys(std::span<const std::uint8_t> shared,
   return {std::move(lo_to_hi), std::move(hi_to_lo)};
 }
 
-SecureChannel::SecureChannel(Bytes send_key, Bytes recv_key)
-    : send_key_(std::move(send_key)), recv_key_(std::move(recv_key)) {
-  Require(send_key_.size() == 64 && recv_key_.size() == 64,
-          "SecureChannel: keys must be 64 bytes (cipher||mac)");
+namespace {
+std::span<const std::uint8_t> CheckedKey(std::span<const std::uint8_t> key) {
+  Require(key.size() == 64, "SecureChannel: keys must be 64 bytes (cipher||mac)");
+  return key;
 }
+}  // namespace
+
+SecureChannel::DirectionKeys::DirectionKeys(std::span<const std::uint8_t> key)
+    : cipher_key(key.begin(), key.begin() + 32), mac(key.subspan(32)) {}
+
+SecureChannel::SecureChannel(std::span<const std::uint8_t> send_key,
+                             std::span<const std::uint8_t> recv_key)
+    : send_(CheckedKey(send_key)), recv_(CheckedKey(recv_key)) {}
 
 namespace {
 Bytes NonceFor(std::uint64_t counter) {
@@ -40,15 +47,12 @@ Bytes NonceFor(std::uint64_t counter) {
 Bytes SecureChannel::Seal(std::span<const std::uint8_t> plaintext) {
   ++send_counter_;
   Bytes ct(plaintext.begin(), plaintext.end());
-  Bytes nonce = NonceFor(send_counter_);
-  std::span<const std::uint8_t> cipher_key(send_key_.data(), 32);
-  std::span<const std::uint8_t> mac_key(send_key_.data() + 32, 32);
-  ChaCha20Xor(cipher_key, nonce, 1, ct);
+  ChaCha20Xor(send_.cipher_key, NonceFor(send_counter_), 1, ct);
 
   ByteWriter w;
   w.U64(send_counter_);
   w.Blob(ct);
-  Digest tag = HmacSha256(mac_key, w.bytes());
+  Digest tag = send_.mac.Mac(w.bytes());
   w.Raw(tag);
   return w.Take();
 }
@@ -59,9 +63,7 @@ std::optional<Bytes> SecureChannel::Open(std::span<const std::uint8_t> frame) {
   std::span<const std::uint8_t> body = frame.subspan(0, body_len);
   std::span<const std::uint8_t> tag_bytes = frame.subspan(body_len);
 
-  std::span<const std::uint8_t> cipher_key(recv_key_.data(), 32);
-  std::span<const std::uint8_t> mac_key(recv_key_.data() + 32, 32);
-  Digest expected = HmacSha256(mac_key, body);
+  Digest expected = recv_.mac.Mac(body);
   Digest got;
   std::copy(tag_bytes.begin(), tag_bytes.end(), got.begin());
   if (!DigestEq(expected, got)) return std::nullopt;
@@ -86,7 +88,7 @@ std::optional<Bytes> SecureChannel::Open(std::span<const std::uint8_t> frame) {
       recv_seen_ |= bit;
     }
     Bytes pt(ct.begin(), ct.end());
-    ChaCha20Xor(cipher_key, NonceFor(counter), 1, pt);
+    ChaCha20Xor(recv_.cipher_key, NonceFor(counter), 1, pt);
     return pt;
   } catch (const ParseError&) {
     return std::nullopt;
@@ -103,10 +105,8 @@ SecureChannel MakeChannel(const SchnorrGroup& group,
   std::uint32_t lo = std::min(my_id, peer_id);
   std::uint32_t hi = std::max(my_id, peer_id);
   auto [lo_to_hi, hi_to_lo] = DeriveChannelKeys(shared, epoch, lo, hi);
-  if (my_id == lo) {
-    return SecureChannel(std::move(lo_to_hi), std::move(hi_to_lo));
-  }
-  return SecureChannel(std::move(hi_to_lo), std::move(lo_to_hi));
+  if (my_id == lo) return SecureChannel(lo_to_hi, hi_to_lo);
+  return SecureChannel(hi_to_lo, lo_to_hi);
 }
 
 }  // namespace pisces::crypto

@@ -13,6 +13,7 @@
 #include <optional>
 
 #include "common/bytes.h"
+#include "crypto/hmac.h"
 #include "crypto/schnorr.h"
 
 namespace pisces::crypto {
@@ -36,7 +37,9 @@ class SecureChannel {
   // (once). Bounds legitimate reorder tolerance AND replay memory.
   static constexpr std::uint64_t kReplayWindow = 64;
 
-  SecureChannel(Bytes send_key, Bytes recv_key);
+  // Each key is cipher key (32 B) || MAC key (32 B).
+  SecureChannel(std::span<const std::uint8_t> send_key,
+                std::span<const std::uint8_t> recv_key);
 
   Bytes Seal(std::span<const std::uint8_t> plaintext);
   // nullopt on tag mismatch, replay/too-old counter, or malformed frame.
@@ -45,8 +48,16 @@ class SecureChannel {
   std::uint64_t sent_count() const { return send_counter_; }
 
  private:
-  Bytes send_key_;
-  Bytes recv_key_;
+  // One direction's key schedule: the cipher key, and the MAC key with its
+  // HMAC pads absorbed once here rather than once per frame.
+  struct DirectionKeys {
+    explicit DirectionKeys(std::span<const std::uint8_t> key);
+    Bytes cipher_key;
+    HmacSha256Key mac;
+  };
+
+  DirectionKeys send_;
+  DirectionKeys recv_;
   std::uint64_t send_counter_ = 0;
   std::uint64_t recv_highwater_ = 0;  // highest counter accepted so far
   // Bit i records whether counter recv_highwater_ - i has been accepted.

@@ -2,8 +2,7 @@
 
 namespace pisces::crypto {
 
-Digest HmacSha256(std::span<const std::uint8_t> key,
-                  std::span<const std::uint8_t> data) {
+HmacSha256Key::HmacSha256Key(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> k{};
   if (key.size() > 64) {
     Digest kd = Sha256Hash(key);
@@ -16,14 +15,21 @@ Digest HmacSha256(std::span<const std::uint8_t> key,
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
-  Sha256 inner;
-  inner.Update(ipad);
+  inner_.Update(ipad);
+  outer_.Update(opad);
+}
+
+Digest HmacSha256Key::Mac(std::span<const std::uint8_t> data) const {
+  Sha256 inner = inner_;
   inner.Update(data);
-  Digest inner_d = inner.Finish();
-  Sha256 outer;
-  outer.Update(opad);
-  outer.Update(inner_d);
+  Sha256 outer = outer_;
+  outer.Update(inner.Finish());
   return outer.Finish();
+}
+
+Digest HmacSha256(std::span<const std::uint8_t> key,
+                  std::span<const std::uint8_t> data) {
+  return HmacSha256Key(key).Mac(data);
 }
 
 bool DigestEq(const Digest& a, const Digest& b) {

@@ -5,6 +5,8 @@
 #include "crypto/sha256.h"
 #include "field/limbs.h"
 #include "field/primes.h"
+#include "obs/registry.h"
+#include "obs/trace.h"
 
 namespace pisces::crypto {
 
@@ -154,7 +156,8 @@ SchnorrKeyPair SchnorrKeygen(const SchnorrGroup& group, Rng& rng) {
 }
 
 namespace {
-FpElem Challenge(const SchnorrGroup& group, const Bytes& r_bytes,
+FpElem Challenge(const SchnorrGroup& group,
+                 std::span<const std::uint8_t> r_bytes,
                  std::span<const std::uint8_t> pk,
                  std::span<const std::uint8_t> msg) {
   Sha256 h;
@@ -194,25 +197,31 @@ bool SchnorrVerify(const SchnorrGroup& group, std::span<const std::uint8_t> pk,
   if (sig.e.size() != q.elem_bytes() || sig.s.size() != q.elem_bytes()) {
     return false;
   }
-  FpElem y;
+  FpElem y, e;
   try {
     Bytes pk_le(pk.begin(), pk.end());
     y = p.FromBytes(pk_le);
+    // Both scalars must be canonical (< q): an s shifted by q would verify
+    // too, handing out a second valid signature for the same message.
+    e = group.ScalarFromBe(sig.e);
+    group.ScalarFromBe(sig.s);
   } catch (const Error&) {
     return false;
   }
-  FpElem e = group.ScalarFromBe(sig.e);
-  // r' = g^s * y^{-e} = g^s * y^{q-e} mod p
-  FpElem neg_e = q.Neg(e);
-  FpElem gs = p.PowBytes(group.g(), sig.s);
-  FpElem ye = p.PowBytes(y, group.ScalarToBe(neg_e));
-  FpElem r = p.Mul(gs, ye);
-  FpElem e2 = Challenge(group, p.ToBytes(r), Bytes(pk.begin(), pk.end()), msg);
+  // r' = g^s * y^{-e} = g^s * y^{q-e} mod p, in one shared squaring chain.
+  const Bytes neg_e = group.ScalarToBe(q.Neg(e));
+  const field::PowTerm terms[] = {{group.g(), sig.s}, {y, neg_e}};
+  FpElem r = p.MultiPowBytes(terms);
+  FpElem e2 = Challenge(group, p.ToBytes(r), pk, msg);
   return q.Eq(e, e2);
 }
 
 Bytes DhSharedSecret(const SchnorrGroup& group, std::span<const std::uint8_t> sk,
                      std::span<const std::uint8_t> peer_pk) {
+  static obs::Counter& count =
+      obs::RegisterCounter("crypto.dh", "Diffie-Hellman key agreements");
+  count.Add();
+  obs::Span span(obs::SpanKind::kDh);
   const FpCtx& p = group.p_ctx();
   Bytes pk_le(peer_pk.begin(), peer_pk.end());
   FpElem y = p.FromBytes(pk_le);

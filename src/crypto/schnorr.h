@@ -59,6 +59,8 @@ struct SchnorrSignature {
   Bytes e;  // challenge scalar, big-endian q-width
   Bytes s;  // response scalar, big-endian q-width
 
+  bool operator==(const SchnorrSignature&) const = default;
+
   Bytes Serialize() const;
   static SchnorrSignature Deserialize(std::span<const std::uint8_t> data);
 };

@@ -1,6 +1,7 @@
 #include "field/fp.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "field/fp_kernels.h"
 #include "obs/registry.h"
@@ -27,6 +28,12 @@ struct KernelCounters {
       "field.dot_products", "products accumulated unreduced");
   obs::Counter& dot_reductions = obs::RegisterCounter(
       "field.dot_reductions", "wide reductions (== nonzero dot outputs)");
+  // Live in every build: one bump per call of a routine that costs hundreds
+  // of multiplies.
+  obs::Counter& pows = obs::RegisterCounter(
+      "field.pows", "exponentiations (a multi-exponentiation counts once)");
+  obs::Counter& inversions =
+      obs::RegisterCounter("field.inversions", "Fermat inversions (Inv)");
 };
 KernelCounters g_kernel_stats;
 
@@ -364,21 +371,89 @@ FpElem FpCtx::Dot(std::span<const FpElem> a, std::span<const FpElem> b) const {
   return r;
 }
 
-FpElem FpCtx::PowBytes(const FpElem& a, std::span<const std::uint8_t> e_be) const {
+namespace {
+
+// Bit i (0 = least significant) of a big-endian byte string.
+unsigned BitAt(std::span<const std::uint8_t> be, std::size_t i) {
+  return (be[be.size() - 1 - i / 8] >> (i % 8)) & 1u;
+}
+
+std::size_t BitLength(std::span<const std::uint8_t> be) {
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    if (be[i] != 0) return 8 * (be.size() - i) - std::countl_zero(be[i]);
+  }
+  return 0;
+}
+
+// Window width for a `bits`-bit exponent: the w minimizing the multiplies
+// bits/(w+1) (one per window) + 2^(w-1) (building the odd-power table).
+// Squarings are one per bit whatever w is.
+std::size_t WindowBits(std::size_t bits) {
+  constexpr std::size_t kWiderAbove[] = {12, 24, 80, 240, 672, 1792};
+  std::size_t w = 1;
+  for (std::size_t t : kWiderAbove) w += bits > t ? 1 : 0;
+  return w;
+}
+
+}  // namespace
+
+FpElem FpCtx::MultiPowBytes(std::span<const PowTerm> terms) const {
+  g_kernel_stats.pows.Add();
+  std::size_t top = 0;
+  for (const PowTerm& t : terms) top = std::max(top, BitLength(t.e_be));
+  // digit[i * top + j] is the odd window value of term i that ends at bit j
+  // (0 = no window ends there); table[first[i] + v / 2] = base_i^v.
+  std::vector<std::uint8_t> digit(terms.size() * top, 0);
+  std::vector<std::size_t> first(terms.size());
+  std::vector<FpElem> table;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    const std::span<const std::uint8_t> e = terms[i].e_be;
+    const std::size_t bits = BitLength(e);
+    const std::size_t w = WindowBits(bits);
+    first[i] = table.size();
+    if (bits == 0) continue;
+    table.push_back(terms[i].base);
+    if (w > 1) {
+      const FpElem sq = Sqr(terms[i].base);
+      for (std::size_t k = 1; k < (std::size_t{1} << (w - 1)); ++k) {
+        table.push_back(Mul(table.back(), sq));
+      }
+    }
+    // Scan from the top: each window starts at a set bit, spans at most w
+    // bits, and is trimmed at the bottom to end on a set bit (odd value).
+    for (std::size_t hi = bits; hi > 0;) {
+      if (BitAt(e, hi - 1) == 0) {
+        --hi;
+        continue;
+      }
+      std::size_t lo = hi > w ? hi - w : 0;
+      while (BitAt(e, lo) == 0) ++lo;
+      unsigned v = 0;
+      for (std::size_t b = hi; b-- > lo;) v = (v << 1) | BitAt(e, b);
+      digit[i * top + lo] = static_cast<std::uint8_t>(v);
+      hi = lo;
+    }
+  }
+  // One squaring per bit, shared by every term; the accumulator starts at
+  // the first window's table entry rather than squaring 1.
   FpElem acc = One();
   bool started = false;
-  for (std::uint8_t byte : e_be) {
-    for (int bit = 7; bit >= 0; --bit) {
-      if (started) acc = Sqr(acc);
-      if ((byte >> bit) & 1) {
-        acc = Mul(acc, a);
-        started = true;
-      } else if (!started) {
-        // skip leading zeros
-      }
+  for (std::size_t j = top; j-- > 0;) {
+    if (started) acc = Sqr(acc);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const std::uint8_t v = digit[i * top + j];
+      if (v == 0) continue;
+      const FpElem& x = table[first[i] + v / 2];
+      acc = started ? Mul(acc, x) : x;
+      started = true;
     }
   }
   return acc;
+}
+
+FpElem FpCtx::PowBytes(const FpElem& a, std::span<const std::uint8_t> e_be) const {
+  const PowTerm term{a, e_be};
+  return MultiPowBytes({&term, 1});
 }
 
 FpElem FpCtx::PowUint64(const FpElem& a, u64 e) const {
@@ -389,6 +464,7 @@ FpElem FpCtx::PowUint64(const FpElem& a, u64 e) const {
 
 FpElem FpCtx::Inv(const FpElem& a) const {
   Require(!IsZero(a), "Inv: zero has no inverse");
+  g_kernel_stats.inversions.Add();
   // exponent = p - 2, big-endian.
   Limbs e = p_;
   Limbs two{};

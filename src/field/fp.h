@@ -54,6 +54,13 @@ void ResetKernelStats();
 // differential tests use as the oracle.
 enum class KernelDispatch { kAuto, kGeneric };
 
+// One factor base^e of FpCtx::MultiPowBytes; e is big-endian bytes. Both
+// fields are views: the caller keeps base and exponent alive for the call.
+struct PowTerm {
+  const FpElem& base;
+  std::span<const std::uint8_t> e_be;
+};
+
 class FpCtx {
  public:
   // big-endian modulus bytes; modulus must be odd and > 2.
@@ -92,9 +99,15 @@ class FpCtx {
   // Add(Mul(...)) loop; a.size() must equal b.size(). The inner loops of
   // MulVec, Lagrange weight application, and VSS deal/transform live on this.
   FpElem Dot(std::span<const FpElem> a, std::span<const FpElem> b) const;
-  // a^e where e is given as big-endian bytes. Not constant-time (see rng.h
+  // prod_i terms[i].base^terms[i].e_be: left-to-right sliding windows over
+  // per-base odd-power tables, with the windows of every base sharing one
+  // squaring chain (so g^s * y^e costs one exponent's squarings, not two).
+  // Exponents are big-endian bytes of any length, leading zeros allowed; an
+  // empty or all-zero exponent contributes 1. Not constant-time (see rng.h
   // note: the simulator models crypto, the PSS privacy is information
   // theoretic).
+  FpElem MultiPowBytes(std::span<const PowTerm> terms) const;
+  // a^e where e is given as big-endian bytes: MultiPowBytes with one term.
   FpElem PowBytes(const FpElem& a, std::span<const std::uint8_t> e_be) const;
   // a^e for small exponents.
   FpElem PowUint64(const FpElem& a, std::uint64_t e) const;

@@ -60,11 +60,13 @@ enum class SpanKind : std::uint32_t {
   kReshare,            // one fleet migration to (n', t'); a = #files, b = n'
   kReshareFile,        // one file's reshare round; a = file, b = attempt
   kReshardShard,       // one serving-plane shard reshard; a = shard, b = epoch
+  kCertVerify,         // host-cert signature check; a = cert host, b = epoch
+  kDh,                 // Diffie-Hellman channel key agreement
   kCount
 };
 
 const char* SpanName(SpanKind k);      // e.g. "refresh.deal"
-const char* SpanCategory(SpanKind k);  // "proto", "vss", "client", "codec", "pool"
+const char* SpanCategory(SpanKind k);  // "proto", "vss", "client", "codec", "pool", ...
 
 // --- global switch -------------------------------------------------------
 bool TraceEnabled();

@@ -53,12 +53,16 @@ Client::Client(ClientConfig cfg, net::Transport& transport,
       codec_(*cfg_.ctx, cfg_.params.l) {}
 
 void Client::InstallPeerCert(const crypto::HostCert& cert) {
+  if (!crypto::SupersedesInstalled(peer_cert(cert.host_id), cert)) return;
   Require(crypto::CertAuthority::VerifyCert(group_, ca_pk_, cert),
           "Client::InstallPeerCert: bad cert");
-  auto it = peer_certs_.find(cert.host_id);
-  if (it != peer_certs_.end() && it->second.epoch > cert.epoch) return;
   peer_certs_[cert.host_id] = cert;
   channels_.erase(cert.host_id);
+}
+
+const crypto::HostCert* Client::peer_cert(std::uint32_t host) const {
+  auto it = peer_certs_.find(host);
+  return it == peer_certs_.end() ? nullptr : &it->second;
 }
 
 crypto::SecureChannel& Client::ChannelTo(std::uint32_t peer) {
@@ -483,8 +487,7 @@ void Client::HandleMessage(const Message& msg) {
       case MsgType::kHostCert: {
         crypto::HostCert cert = crypto::HostCert::Deserialize(msg.payload);
         if (cert.host_id != msg.from) return;
-        if (!crypto::CertAuthority::VerifyCert(group_, ca_pk_, cert)) return;
-        InstallPeerCert(cert);
+        InstallPeerCert(cert);  // a bad cert throws; dropped below
         return;
       }
       case MsgType::kPhaseDone: {

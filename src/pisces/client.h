@@ -41,8 +41,11 @@ class Client : public net::MessageHandler {
 
   std::uint32_t id() const { return cfg_.id; }
 
-  // Accept a host's cert (via broadcast message or direct install).
+  // Accept a host's cert (via broadcast message or direct install), under
+  // the same verify-once rule as Host::InstallPeerCert.
   void InstallPeerCert(const crypto::HostCert& cert);
+  // The installed cert of `host`, or nullptr.
+  const crypto::HostCert* peer_cert(std::uint32_t host) const;
 
   // Splits `data` into packed shares and sends one kSetShares to each host.
   // Caller pumps the network, then checks UploadAcks == n.

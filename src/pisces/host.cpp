@@ -100,12 +100,16 @@ void Host::Shutdown() {
 }
 
 void Host::InstallPeerCert(const crypto::HostCert& cert) {
+  if (!crypto::SupersedesInstalled(peer_cert(cert.host_id), cert)) return;
   Require(crypto::CertAuthority::VerifyCert(group_, ca_pk_, cert),
           "Host::InstallPeerCert: bad cert");
-  auto it = peer_certs_.find(cert.host_id);
-  if (it != peer_certs_.end() && it->second.epoch > cert.epoch) return;
   peer_certs_[cert.host_id] = cert;
   channels_.erase(cert.host_id);  // rebuild with the new epoch keys
+}
+
+const crypto::HostCert* Host::peer_cert(std::uint32_t peer) const {
+  auto it = peer_certs_.find(peer);
+  return it == peer_certs_.end() ? nullptr : &it->second;
 }
 
 crypto::SecureChannel& Host::ChannelTo(std::uint32_t peer) {
@@ -232,12 +236,7 @@ void Host::OnHostCert(const Message& msg) {
     LogWarn() << "host " << cfg_.id << ": cert/id mismatch from " << msg.from;
     return;
   }
-  if (!crypto::CertAuthority::VerifyCert(group_, ca_pk_, cert)) {
-    LogWarn() << "host " << cfg_.id << ": rejecting unsigned cert from "
-              << msg.from;
-    return;
-  }
-  InstallPeerCert(cert);
+  InstallPeerCert(cert);  // a bad cert throws and HandleMessage drops it
 }
 
 // ---------------------------------------------------------------------------

@@ -69,8 +69,12 @@ class Host : public net::MessageHandler {
   void HandleMessage(const net::Message& msg) override;
 
   // Registers a peer cert without the network (used for initial bring-up of
-  // the client, whose cert hosts must know before the first upload).
+  // the client, whose cert hosts must know before the first upload). The one
+  // place a peer cert is verified, at most once per (host, epoch); a bad or
+  // conflicting cert throws InvalidArgument (crypto::SupersedesInstalled).
   void InstallPeerCert(const crypto::HostCert& cert);
+  // The installed cert of `peer`, or nullptr.
+  const crypto::HostCert* peer_cert(std::uint32_t peer) const;
 
   // Aborts sessions that cannot complete (bounded-delay timeout fired by the
   // synchrony layer). Returns human-readable descriptions of what was stuck.

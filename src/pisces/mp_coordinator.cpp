@@ -188,10 +188,15 @@ bool MpCoordinator::BootAll() {
     }
     if (SendBoot(candidate, next_epoch_) == StatusCode::kOk) {
       booted.insert(candidate);
+    } else {
+      // The failed boot may still have landed and broadcast its cert; the
+      // retry needs a fresh epoch, because peers refuse a second, different
+      // cert for an installed (host, epoch) (crypto::SupersedesInstalled).
+      ++next_epoch_;
     }
   }
   if (booted.size() == cfg_.n) {
-    ++next_epoch_;  // all initial boots share one epoch
+    ++next_epoch_;  // initial boots share one epoch unless one was retried
     return true;
   }
   return false;

@@ -3,6 +3,7 @@
 // schedules, metrics.
 #include <gtest/gtest.h>
 
+#include "obs/registry.h"
 #include "pisces/pisces.h"
 
 namespace pisces {
@@ -223,6 +224,70 @@ TEST(Cluster, HostCertsRotateOnReboot) {
   std::uint32_t epoch_before = cluster.host(0).epoch();
   cluster.RunUpdateWindow();
   EXPECT_GT(cluster.host(0).epoch(), epoch_before);
+}
+
+std::uint64_t CertVerifies() {
+  return obs::Value(obs::TakeSnapshot(), "crypto.cert_verifies");
+}
+
+// Verify-once across one reboot at n hosts plus the client: the rebooted
+// host checks its own cert and the n directory certs (n - 1 hosts and the
+// client), and each of the n receivers of its broadcast (n - 1 hosts and the
+// client) checks the new cert once. No receiver verifies a (host, epoch)
+// twice, so the count is exact.
+TEST(Cluster, OneRebootVerifiesEachCertOncePerReceiver) {
+  Cluster cluster(SmallConfig());
+  const std::uint64_t n = cluster.config().params.n;
+  Rng rng(41);
+  Bytes file = rng.RandomBytes(700);
+  cluster.Upload(1, file);
+  const std::uint64_t before = CertVerifies();
+  const std::uint32_t batch[] = {3};
+  EXPECT_TRUE(cluster.hypervisor().RebootAndRecover(batch));
+  EXPECT_EQ(CertVerifies() - before, 1 + n + n);
+  const crypto::HostCert& fresh = cluster.hypervisor().directory().at(3);
+  ASSERT_NE(cluster.client().peer_cert(3), nullptr);
+  EXPECT_EQ(*cluster.client().peer_cert(3), fresh);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i == 3) continue;
+    EXPECT_EQ(*cluster.host(i).peer_cert(3), fresh) << i;
+  }
+  EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
+}
+
+// The client side of the replayed-cert fix: host 0's current cert replayed to
+// the client must leave the client's sealed channel to host 0 as it was. A
+// reinstall would restart the client's send counter, and host 0 would then
+// reject every new frame from the client as a replay.
+TEST(Cluster, ReplayedHostCertKeepsClientChannel) {
+  Cluster cluster(SmallConfig());
+  ASSERT_TRUE(cluster.config().encrypt_links);
+  const std::size_t n = cluster.config().params.n;
+  Rng rng(43);
+  for (std::uint64_t f = 1; f <= 3; ++f) cluster.Upload(f, rng.RandomBytes(200));
+  const crypto::HostCert cert = cluster.hypervisor().directory().at(0);
+  net::Message replay;
+  replay.from = 0;
+  replay.to = net::kClientId;
+  replay.type = net::MsgType::kHostCert;
+  replay.epoch = cert.epoch;
+  replay.payload = cert.Serialize();
+  const std::uint64_t verifies = CertVerifies();
+  cluster.client().HandleMessage(replay);
+  EXPECT_EQ(CertVerifies(), verifies);
+  EXPECT_EQ(*cluster.client().peer_cert(0), cert);
+
+  // A different cert for the installed (host, epoch) is refused outright.
+  crypto::HostCert conflicting = cert;
+  conflicting.host_pk = cluster.hypervisor().directory().at(1).host_pk;
+  EXPECT_THROW(cluster.client().InstallPeerCert(conflicting), InvalidArgument);
+  EXPECT_EQ(*cluster.client().peer_cert(0), cert);
+
+  const Bytes file = rng.RandomBytes(200);
+  cluster.client().BeginUpload(9, file);
+  cluster.sync().RunToQuiescence();
+  EXPECT_EQ(cluster.client().UploadAcks(9), n) << "host 0 must accept the "
+                                                  "client's next frame";
 }
 
 }  // namespace

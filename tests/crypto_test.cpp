@@ -53,25 +53,47 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
-TEST(Hmac, Rfc4231Case1) {
-  Bytes key(20, 0x0b);
-  EXPECT_EQ(HexOf(HmacSha256(key, Ascii("Hi There"))),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(Hmac, Rfc4231Case2) {
-  EXPECT_EQ(HexOf(HmacSha256(Ascii("Jefe"),
-                             Ascii("what do ya want for nothing?"))),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(Hmac, LongKeyIsHashed) {
-  Bytes key(131, 0xaa);
-  // RFC 4231 test case 6.
-  EXPECT_EQ(HexOf(HmacSha256(
-                key, Ascii("Test Using Larger Than Block-Size Key - Hash "
-                           "Key First"))),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+// RFC 4231 test cases 1-7, through the keyed state and the one-shot wrapper.
+// Case 5 publishes only the leading 128 bits; 6 and 7 use a key longer than
+// the block, which is hashed first.
+TEST(Hmac, Rfc4231Cases1To7) {
+  Bytes key4;
+  for (std::uint8_t b = 1; b <= 25; ++b) key4.push_back(b);
+  const struct {
+    Bytes key;
+    Bytes data;
+    std::string mac_hex;
+  } cases[] = {
+      {Bytes(20, 0x0b), Ascii("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {Ascii("Jefe"), Ascii("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {key4, Bytes(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {Bytes(20, 0x0c), Ascii("Test With Truncation"),
+       "a3b6167473100ee06e0c796c2955552b"},
+      {Bytes(131, 0xaa),
+       Ascii("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {Bytes(131, 0xaa),
+       Ascii("This is a test using a larger than block-size key and a larger "
+             "than block-size data. The key needs to be hashed before being "
+             "used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  int n = 0;
+  for (const auto& c : cases) {
+    ++n;
+    const std::size_t len = c.mac_hex.size() / 2;
+    const HmacSha256Key keyed(c.key);
+    // The keyed state is reused: its second Mac must match too.
+    for (const Digest& d :
+         {HmacSha256(c.key, c.data), keyed.Mac(c.data), keyed.Mac(c.data)}) {
+      EXPECT_EQ(HexOf(std::span(d).first(len)), c.mac_hex) << "case " << n;
+    }
+  }
 }
 
 TEST(Hmac, DigestEqConstantTime) {
@@ -176,6 +198,61 @@ TEST_F(SchnorrTest, SignatureSerialization) {
   auto back = SchnorrSignature::Deserialize(sig.Serialize());
   EXPECT_EQ(back.e, sig.e);
   EXPECT_EQ(back.s, sig.s);
+}
+
+TEST_F(SchnorrTest, WrongSizeScalarsRejected) {
+  auto keys = SchnorrKeygen(group_, rng_);
+  Bytes msg = Ascii("sized");
+  auto sig = SchnorrSign(group_, keys.sk, msg, rng_);
+  ASSERT_TRUE(SchnorrVerify(group_, keys.pk, msg, sig));
+  for (bool which_e : {true, false}) {
+    for (int delta : {-1, 1}) {
+      SchnorrSignature bad = sig;
+      Bytes& field = which_e ? bad.e : bad.s;
+      if (delta < 0) {
+        field.erase(field.begin());  // drop a leading byte
+      } else {
+        field.insert(field.begin(), 0);  // same value, one byte too wide
+      }
+      EXPECT_FALSE(SchnorrVerify(group_, keys.pk, msg, bad))
+          << (which_e ? "e" : "s") << " delta " << delta;
+    }
+  }
+  SchnorrSignature empty;
+  EXPECT_FALSE(SchnorrVerify(group_, keys.pk, msg, empty));
+}
+
+TEST_F(SchnorrTest, OutOfRangeScalarsRejected) {
+  auto keys = SchnorrKeygen(group_, rng_);
+  Bytes msg = Ascii("ranged");
+  auto sig = SchnorrSign(group_, keys.sk, msg, rng_);
+  ASSERT_TRUE(SchnorrVerify(group_, keys.pk, msg, sig));
+  const Bytes q_be = group_.q_ctx().ModulusBytes();
+  ASSERT_EQ(q_be.size(), sig.e.size());
+  // s + q is the same exponent of g (g has order q), so without the range
+  // check it would verify: a second signature for the same message.
+  Bytes s_plus_q(sig.s.size());
+  unsigned carry = 0;
+  for (std::size_t i = s_plus_q.size(); i-- > 0;) {
+    carry += unsigned{sig.s[i]} + q_be[i];
+    s_plus_q[i] = static_cast<std::uint8_t>(carry);
+    carry >>= 8;
+  }
+  for (const Bytes& out : {q_be, Bytes(q_be.size(), 0xFF)}) {
+    SchnorrSignature bad_e = sig;
+    bad_e.e = out;
+    EXPECT_FALSE(SchnorrVerify(group_, keys.pk, msg, bad_e));
+    SchnorrSignature bad_s = sig;
+    bad_s.s = out;
+    EXPECT_FALSE(SchnorrVerify(group_, keys.pk, msg, bad_s));
+  }
+  if (carry == 0) {  // s + q still fits in q-width bytes
+    SchnorrSignature shifted = sig;
+    shifted.s = s_plus_q;
+    EXPECT_FALSE(SchnorrVerify(group_, keys.pk, msg, shifted));
+  }
+  // A public key that is not a field element is rejected, not thrown.
+  EXPECT_FALSE(SchnorrVerify(group_, Bytes(keys.pk.size(), 0xFF), msg, sig));
 }
 
 TEST_F(SchnorrTest, DhSharedSecretSymmetric) {
@@ -300,6 +377,26 @@ TEST_F(ChannelTest, ShuffledBurstAllAcceptedOnceUnderWindow) {
   for (const auto& f : frames) {
     EXPECT_FALSE(b.Open(f).has_value()) << "every duplicate must be rejected";
   }
+}
+
+// The sealed wire format, pinned: counter (u64 LE) || blob(ChaCha20
+// ciphertext) || HMAC-SHA256 tag, for fixed keys at send counter 3.
+TEST(ChannelGolden, SealFrameIsPinned) {
+  Bytes ka(64), kb(64);
+  for (int i = 0; i < 64; ++i) {
+    ka[i] = static_cast<std::uint8_t>(i);
+    kb[i] = static_cast<std::uint8_t>(0x80 + i);
+  }
+  SecureChannel tx(ka, kb), rx(kb, ka);
+  const Bytes msg = Ascii("pisces frame");
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(rx.Open(tx.Seal(msg)).has_value());
+  const Bytes frame = tx.Seal(msg);
+  EXPECT_EQ(ToHex(frame),
+            "03000000000000000c0000008c78971c6a224dab503a4449326b6530d4708b85"
+            "538b35f6b82690f8014e00825483c12e596941369fa8e1c0");
+  auto opened = rx.Open(frame);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, msg);
 }
 
 TEST_F(ChannelTest, EpochSeparation) {

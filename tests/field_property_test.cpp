@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/schnorr.h"
 #include "field/fp.h"
 #include "field/primes.h"
 
@@ -170,6 +171,135 @@ TEST_P(FieldPropertyTest, BatchInvEmptyIsNoop) {
 
 INSTANTIATE_TEST_SUITE_P(AllFieldSizes, FieldPropertyTest,
                          ::testing::Values(256, 512, 1024, 2048));
+
+// --- Exponentiation: windowed multi-exponentiation vs a binary oracle -----
+//
+// Runs on the four standard primes and on the 512-bit Schnorr group modulus
+// (parameter 0), the modulus every cert verification and DH exponentiates in.
+class PowDifferentialTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  PowDifferentialTest()
+      : ctx_(GetParam() == 0
+                 ? crypto::SchnorrGroup::Default().p_ctx().ModulusBytes()
+                 : StandardPrimeBe(GetParam())),
+        rng_(0x90E ^ GetParam()) {}
+
+  // Binary left-to-right square-and-multiply, squaring through Mul so the
+  // oracle shares no code with the routine under test beyond the multiply.
+  FpElem PowOracle(const FpElem& a, std::span<const std::uint8_t> e) const {
+    FpElem acc = ctx_.One();
+    for (std::uint8_t byte : e) {
+      for (int bit = 7; bit >= 0; --bit) {
+        acc = ctx_.Mul(acc, acc);
+        if ((byte >> bit) & 1) acc = ctx_.Mul(acc, a);
+      }
+    }
+    return acc;
+  }
+
+  // A random big-endian exponent of exactly `bits` significant bits.
+  Bytes ExpOfBits(std::size_t bits) {
+    Bytes e = rng_.RandomBytes((bits + 7) / 8);
+    if (bits % 8 != 0) e[0] &= static_cast<std::uint8_t>((1u << (bits % 8)) - 1);
+    e[0] |= static_cast<std::uint8_t>(1u << ((bits + 7) % 8));
+    return e;
+  }
+
+  FpCtx ctx_;
+  Rng rng_;
+};
+
+TEST_P(PowDifferentialTest, RandomExponentsMatchOracle) {
+  const std::size_t width = ctx_.elem_bytes();
+  for (std::size_t len : {std::size_t{1}, std::size_t{8}, std::size_t{32},
+                          width, width + 9}) {
+    FpElem a = ctx_.Random(rng_);
+    Bytes e = rng_.RandomBytes(len);
+    EXPECT_EQ(ctx_.PowBytes(a, e), PowOracle(a, e)) << "len " << len;
+  }
+}
+
+TEST_P(PowDifferentialTest, EveryWindowShapeMatchesOracle) {
+  // Bit lengths on both sides of every window-width switch, plus short ones:
+  // the top window is shorter than w whenever the length is not aligned.
+  for (std::size_t bits : {1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 23, 24, 25,
+                           79, 80, 81, 239, 240, 241, 671, 672, 673}) {
+    FpElem a = ctx_.RandomNonZero(rng_);
+    Bytes e = ExpOfBits(bits);
+    EXPECT_EQ(ctx_.PowBytes(a, e), PowOracle(a, e)) << bits << " bits";
+  }
+}
+
+TEST_P(PowDifferentialTest, EdgeExponents) {
+  const FpElem a = ctx_.RandomNonZero(rng_);
+  const std::size_t width = ctx_.elem_bytes();
+  // Empty and all-zero exponents give 1, for any base including 0.
+  EXPECT_EQ(ctx_.PowBytes(a, {}), ctx_.One());
+  EXPECT_EQ(ctx_.PowBytes(ctx_.Zero(), {}), ctx_.One());
+  for (std::size_t len : {std::size_t{1}, width, width + 3}) {
+    EXPECT_EQ(ctx_.PowBytes(a, Bytes(len, 0)), ctx_.One()) << len;
+  }
+  // Exponent 1, bare and behind leading zero bytes.
+  EXPECT_EQ(ctx_.PowBytes(a, Bytes{1}), a);
+  EXPECT_EQ(ctx_.PowBytes(a, Bytes{0, 0, 0, 1}), a);
+  EXPECT_EQ(ctx_.PowBytes(ctx_.Zero(), Bytes{0, 5}), ctx_.Zero());
+  EXPECT_EQ(ctx_.PowBytes(ctx_.One(), Bytes(width, 0xFF)), ctx_.One());
+  // All-ones: every window is full width and the maximum table entry.
+  for (std::size_t len : {std::size_t{2}, width, width + 5}) {
+    Bytes ones(len, 0xFF);
+    EXPECT_EQ(ctx_.PowBytes(a, ones), PowOracle(a, ones)) << len;
+  }
+  // Leading zero bytes change nothing.
+  Bytes e = ExpOfBits(100);
+  Bytes padded = e;
+  padded.insert(padded.begin(), 7, 0);
+  EXPECT_EQ(ctx_.PowBytes(a, padded), ctx_.PowBytes(a, e));
+  EXPECT_EQ(ctx_.PowBytes(a, padded), PowOracle(a, e));
+  // Exponents wider than the modulus.
+  Bytes wide = ExpOfBits(8 * width + 40);
+  EXPECT_EQ(ctx_.PowBytes(a, wide), PowOracle(a, wide));
+  // Small exponents through PowUint64.
+  for (std::uint64_t k : {0ull, 1ull, 2ull, 3ull, 0x123456789ull, ~0ull}) {
+    Bytes be(8);
+    for (int i = 0; i < 8; ++i) be[i] = static_cast<std::uint8_t>(k >> (56 - 8 * i));
+    EXPECT_EQ(ctx_.PowUint64(a, k), PowOracle(a, be)) << k;
+  }
+}
+
+TEST_P(PowDifferentialTest, MultiPowIsProductOfSinglePows) {
+  EXPECT_EQ(ctx_.MultiPowBytes({}), ctx_.One());
+  const std::size_t width = ctx_.elem_bytes();
+  for (std::size_t terms = 1; terms <= 4; ++terms) {
+    std::vector<FpElem> bases;
+    std::vector<Bytes> exps;
+    for (std::size_t i = 0; i < terms; ++i) {
+      bases.push_back(ctx_.Random(rng_));
+      // Mixed shapes: empty, zero, short, and full/over-width exponents.
+      switch ((terms + i) % 5) {
+        case 0: exps.push_back({}); break;
+        case 1: exps.push_back(Bytes(3, 0)); break;
+        case 2: exps.push_back(rng_.RandomBytes(5)); break;
+        case 3: exps.push_back(rng_.RandomBytes(width)); break;
+        default: exps.push_back(rng_.RandomBytes(width + 4)); break;
+      }
+    }
+    std::vector<PowTerm> list;
+    FpElem expect = ctx_.One();
+    for (std::size_t i = 0; i < terms; ++i) {
+      list.push_back(PowTerm{bases[i], exps[i]});
+      expect = ctx_.Mul(expect, ctx_.PowBytes(bases[i], exps[i]));
+    }
+    EXPECT_EQ(ctx_.MultiPowBytes(list), expect) << terms << " terms";
+  }
+  // A repeated base: a^x * a^y == a^(x+y) for small x, y.
+  const FpElem a = ctx_.RandomNonZero(rng_);
+  const Bytes x{0x01, 0x23}, y{0x45};
+  const PowTerm same[] = {{a, x}, {a, y}};
+  EXPECT_EQ(ctx_.MultiPowBytes(same), ctx_.PowUint64(a, 0x0123 + 0x45));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModuli, PowDifferentialTest,
+                         ::testing::Values(256, 512, 1024, 2048, 0));
 
 }  // namespace
 }  // namespace pisces::field

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "field/primes.h"
+#include "obs/registry.h"
 #include "pisces/host.h"
 
 namespace pisces {
@@ -22,7 +23,8 @@ class Collector : public net::MessageHandler {
 
 class HostHarness {
  public:
-  HostHarness() : rng_(71), ca_(crypto::SchnorrGroup::Default(), rng_) {
+  explicit HostHarness(bool encrypt_links = false)
+      : rng_(71), ca_(crypto::SchnorrGroup::Default(), rng_) {
     params_.n = 5;
     params_.t = 1;
     params_.l = 1;
@@ -35,7 +37,7 @@ class HostHarness {
       hc.id = i;
       hc.params = params_;
       hc.ctx = ctx_;
-      hc.encrypt_links = false;  // these tests poke at plaintext protocol
+      hc.encrypt_links = encrypt_links;  // most tests poke at plaintext
       hosts_.push_back(std::make_unique<Host>(
           hc, *endpoints_.back(), crypto::SchnorrGroup::Default(),
           ca_.public_key()));
@@ -89,6 +91,17 @@ class HostHarness {
       m.epoch = epoch;
       hyper_ep_->Send(std::move(m));
     }
+  }
+
+  // Delivers `cert` to host `to` as a kHostCert from the cert's own host.
+  void SendCert(const crypto::HostCert& cert, std::uint32_t to) {
+    net::Message m;
+    m.from = cert.host_id;
+    m.to = to;
+    m.type = net::MsgType::kHostCert;
+    m.epoch = cert.epoch;
+    m.payload = cert.Serialize();
+    hosts_[to]->HandleMessage(m);
   }
 
   std::size_t DonesAtHypervisor() {
@@ -166,9 +179,117 @@ TEST(HostDirect, StaleCertDoesNotDowngrade) {
   auto [new_cert, sk2] = h.ca_.IssueHostKey(1, 5, rng);
   h.hosts_[0]->InstallPeerCert(new_cert);
   h.hosts_[0]->InstallPeerCert(old_cert);  // ignored: older epoch
-  // No crash and the host still operates; full behaviour covered by cluster
-  // tests -- here we only pin the no-downgrade rule via no-throw.
-  SUCCEED();
+  ASSERT_NE(h.hosts_[0]->peer_cert(1), nullptr);
+  EXPECT_EQ(*h.hosts_[0]->peer_cert(1), new_cert);
+}
+
+std::uint64_t CertVerifies() {
+  return obs::Value(obs::TakeSnapshot(), "crypto.cert_verifies");
+}
+
+// A host's current, validly signed cert replayed to a peer must not reinstall
+// it: that would drop the cached channel and reset both anti-replay counters,
+// after which the peer rejects every new frame as too old (and would accept
+// old frames again). Sealed links, so the channel state is what is tested.
+TEST(HostDirect, ReplayedHostCertKeepsSealedChannels) {
+  HostHarness h(/*encrypt_links=*/true);
+  h.InstallFile(1, 2);
+  for (std::uint32_t e = 0; e < 40; ++e) {
+    h.StartRefresh(1, 100 + e);
+    h.sync_.RunToQuiescence();
+    ASSERT_EQ(h.DonesAtHypervisor(), h.params_.n) << "refresh " << e;
+  }
+  const std::uint64_t verifies = CertVerifies();
+  h.SendCert(h.certs_[1], 0);
+  EXPECT_EQ(CertVerifies(), verifies) << "an installed (host, epoch) is "
+                                         "never verified again";
+  ASSERT_NE(h.hosts_[0]->peer_cert(1), nullptr);
+  EXPECT_EQ(*h.hosts_[0]->peer_cert(1), h.certs_[1]);
+  h.StartRefresh(1, 200);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
+}
+
+// A different cert for an installed (host, epoch) is rejected even when the
+// CA really signed it; the installed cert and its channel stay.
+TEST(HostDirect, ConflictingCertForInstalledEpochRejected) {
+  HostHarness h(/*encrypt_links=*/true);
+  h.InstallFile(1, 2);
+  h.StartRefresh(1, 100);
+  h.sync_.RunToQuiescence();
+  ASSERT_EQ(h.DonesAtHypervisor(), h.params_.n);
+  Rng rng(8);
+  const crypto::HostCert other =
+      h.ca_.IssueHostKey(1, h.certs_[1].epoch, rng).first;
+  EXPECT_THROW(h.hosts_[0]->InstallPeerCert(other), InvalidArgument);
+  h.SendCert(other, 0);  // the message path drops it
+  EXPECT_EQ(*h.hosts_[0]->peer_cert(1), h.certs_[1]);
+  h.StartRefresh(1, 101);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
+}
+
+// Forged certs through the OnHostCert path reach no peer_certs_ entry:
+// a foreign CA's cert, a tampered signature, and a substituted key, each at a
+// higher epoch than the installed one (the case that skips the same-epoch
+// shortcut and must be verified), plus a cert sent by a different host.
+TEST(HostDirect, ForgedCertsNeverInstalled) {
+  HostHarness h(/*encrypt_links=*/true);
+  h.InstallFile(1, 2);
+  const crypto::HostCert genuine = h.certs_[2];
+  const std::uint32_t next = genuine.epoch + 10;
+  Rng rng(9);
+  crypto::CertAuthority evil_ca(crypto::SchnorrGroup::Default(), rng);
+
+  std::vector<crypto::HostCert> forged;
+  forged.push_back(evil_ca.IssueHostKey(2, next, rng).first);
+  crypto::HostCert tampered_sig = h.ca_.IssueHostKey(2, next, rng).first;
+  tampered_sig.sig.s.back() ^= 1;
+  forged.push_back(tampered_sig);
+  crypto::HostCert swapped_key = h.ca_.IssueHostKey(2, next, rng).first;
+  swapped_key.host_pk = evil_ca.IssueHostKey(2, next, rng).first.host_pk;
+  forged.push_back(swapped_key);
+  crypto::HostCert bumped_epoch = genuine;
+  bumped_epoch.epoch = next;
+  forged.push_back(bumped_epoch);
+
+  for (std::size_t i = 0; i < forged.size(); ++i) {
+    const std::uint64_t verifies = CertVerifies();
+    h.SendCert(forged[i], 0);
+    EXPECT_EQ(CertVerifies(), verifies + 1) << "forgery " << i;
+    ASSERT_NE(h.hosts_[0]->peer_cert(2), nullptr);
+    EXPECT_EQ(*h.hosts_[0]->peer_cert(2), genuine) << "forgery " << i;
+  }
+  // A valid cert relayed by another host is dropped before any check.
+  net::Message relayed;
+  relayed.from = 3;
+  relayed.to = 0;
+  relayed.type = net::MsgType::kHostCert;
+  relayed.payload = h.ca_.IssueHostKey(2, next, rng).first.Serialize();
+  h.hosts_[0]->HandleMessage(relayed);
+  EXPECT_EQ(*h.hosts_[0]->peer_cert(2), genuine);
+
+  h.StartRefresh(1, 300);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
+}
+
+// One reboot: the rebooted host verifies its own cert and each directory
+// cert once, and each peer verifies the new cert once -- even though it
+// arrives both by broadcast and, for the rebooted host, by direct install.
+TEST(HostDirect, RebootVerifiesEachCertOncePerReceiver) {
+  HostHarness h(/*encrypt_links=*/true);
+  h.InstallFile(1, 2);
+  const std::uint64_t n = h.params_.n;
+  const std::uint64_t before = CertVerifies();
+  h.hosts_[2]->Shutdown();
+  h.BootHost(2);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(CertVerifies() - before, 1 + (n - 1) + (n - 1));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i == 2) continue;
+    EXPECT_EQ(*h.hosts_[i]->peer_cert(2), h.certs_[2]) << i;
+  }
 }
 
 TEST(HostDirect, DuplicateDealsAreIdempotent) {
