@@ -13,6 +13,7 @@
 #include "field/primes.h"
 #include "math/poly.h"
 #include "math/poly_engine.h"
+#include "pss/packed_shamir.h"
 
 namespace {
 
@@ -341,6 +342,35 @@ void BM_ChannelSealOpen(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChannelSealOpen)->Arg(64)->Arg(4096);
+
+// --- Share generation (pss.* in BENCH_field.json) ------------------------
+// One upload's PackedShamir::ShareBlocks at two perfbench shapes, args
+// (n, t, l, g, blocks): window-bulk (a 64 KiB file at the paper's n=21
+// configuration) and serve-wire (a serving upload at n=8). The scheme is
+// warmed once first, so an iteration is the steady-state cost per upload.
+
+void BM_ShareBlocks(benchmark::State& state) {
+  pisces::pss::Params params;
+  params.n = state.range(0);
+  params.t = state.range(1);
+  params.l = state.range(2);
+  params.field_bits = state.range(3);
+  auto ctx = std::make_shared<const FpCtx>(StandardPrimeBe(params.field_bits));
+  const pisces::pss::PackedShamir shamir(ctx, params);
+  Rng rng(16);
+  std::vector<std::vector<FpElem>> blocks(state.range(4));
+  for (auto& b : blocks) {
+    for (std::size_t j = 0; j < params.l; ++j) b.push_back(ctx->Random(rng));
+  }
+  shamir.ShareBlocks(blocks, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(shamir.ShareBlocks(blocks, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(4));
+}
+BENCHMARK(BM_ShareBlocks)
+    ->Args({21, 4, 6, 1024, 86})
+    ->Args({8, 1, 2, 256, 32});
 
 }  // namespace
 

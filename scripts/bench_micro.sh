@@ -15,12 +15,14 @@
 # compiled -- "debug" for the distro package -- not how our code was).
 #
 # The cert/channel crypto benches (exponentiation, Schnorr verify, DH,
-# seal+open) land in a "crypto" section. Given a second build dir -- a
-# Release build of micro_field_ops at another commit, compiled with this
-# commit's bench/micro_field_ops.cpp so it has the same benches -- the crypto
-# set runs on both binaries in alternating rounds (the one on a shared host
-# is never measured in a quieter phase than the other), and each entry gains
-# that binary's figure as before_ns and the speedup.
+# seal+open) land in a "crypto" section, and upload share generation
+# (BM_ShareBlocks at the window-bulk and serve-wire shapes) in a "pss"
+# section. Given a second build dir -- a Release build of micro_field_ops at
+# another commit, compiled with this commit's bench/micro_field_ops.cpp so it
+# has the same benches -- both sets run on both binaries in alternating rounds
+# (the one on a shared host is never measured in a quieter phase than the
+# other), and each entry gains that binary's figure as before_ns and the
+# speedup.
 #
 # Usage: scripts/bench_micro.sh [build-dir] [before-build-dir]
 #        (default build dir: build-rel)
@@ -31,7 +33,7 @@ BUILD_DIR="${1:-build-rel}"
 BEFORE_DIR="${2:-}"
 RAW_FIELD_JSON="$BUILD_DIR/micro_field_raw.json"
 RAW_POLY_JSON="$BUILD_DIR/micro_poly_raw.json"
-CRYPTO_FILTER='BM_(PowBytes|SchnorrVerify|DhSharedSecret|ChannelSealOpen|FieldInv)'
+ROUND_FILTER='BM_(PowBytes|SchnorrVerify|DhSharedSecret|ChannelSealOpen|FieldInv|ShareBlocks)'
 CRYPTO_ROUNDS=15
 OUT_JSON="BENCH_field.json"
 
@@ -63,13 +65,13 @@ fi
   --benchmark_out_format=json \
   --benchmark_repetitions=3
 
-# Short crypto rounds (0.1 s per benchmark), alternating which binary goes
-# first: the host's contention phases last under a second, so both binaries
-# sample the same mix of them. The min across all rounds of a binary is its
-# figure.
+# Short crypto and share-generation rounds (0.1 s per benchmark),
+# alternating which binary goes first: the host's contention phases last
+# under a second, so both binaries sample the same mix of them. The min
+# across all rounds of a binary is its figure.
 crypto_run() {  # <binary dir> <raw output>
   "$1/bench/micro_field_ops" \
-    --benchmark_filter="$CRYPTO_FILTER" \
+    --benchmark_filter="$ROUND_FILTER" \
     --benchmark_out="$2" \
     --benchmark_out_format=json \
     --benchmark_min_time=0.1
@@ -197,12 +199,14 @@ def min_by_name(raws):
 after = min_by_name(raw_after)
 before = min_by_name(raw_before)
 result["crypto"] = {}
+result["pss"] = {}
 for name in sorted(after):
     entry = {"after_ns": after[name]}
     if name in before:
         entry["before_ns"] = before[name]
         entry["speedup"] = ratio(before[name], after[name])
-    result["crypto"][name] = entry
+    section = "pss" if name.startswith("BM_ShareBlocks") else "crypto"
+    result[section][name] = entry
 
 mul256 = result["sizes"].get("256", {}).get("mul_speedup")
 interp1024 = result["poly"].get("1024", {}).get("interp_speedup")

@@ -2,6 +2,7 @@
 
 #include "crypto/chacha20.h"
 #include "crypto/hkdf.h"
+#include "obs/registry.h"
 
 namespace pisces::crypto {
 
@@ -45,6 +46,9 @@ Bytes NonceFor(std::uint64_t counter) {
 }  // namespace
 
 Bytes SecureChannel::Seal(std::span<const std::uint8_t> plaintext) {
+  static obs::Counter& sealed = obs::RegisterCounter(
+      "crypto.bytes_sealed", "plaintext bytes sealed by SecureChannel::Seal");
+  sealed.Add(plaintext.size());
   ++send_counter_;
   Bytes ct(plaintext.begin(), plaintext.end());
   ChaCha20Xor(send_.cipher_key, NonceFor(send_counter_), 1, ct);
@@ -89,6 +93,9 @@ std::optional<Bytes> SecureChannel::Open(std::span<const std::uint8_t> frame) {
     }
     Bytes pt(ct.begin(), ct.end());
     ChaCha20Xor(recv_.cipher_key, NonceFor(counter), 1, pt);
+    static obs::Counter& opened = obs::RegisterCounter(
+        "crypto.bytes_opened", "plaintext bytes opened by SecureChannel::Open");
+    opened.Add(pt.size());
     return pt;
   } catch (const ParseError&) {
     return std::nullopt;

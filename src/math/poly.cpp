@@ -31,22 +31,10 @@ Poly Poly::RandomWithConstraints(const FpCtx& ctx, Rng& rng, std::size_t deg,
   Require(xs.size() == ys.size(), "RandomWithConstraints: xs/ys mismatch");
   Require(xs.size() >= 1, "RandomWithConstraints: need >= 1 constraint");
   Require(xs.size() <= deg + 1, "RandomWithConstraints: too many constraints");
-  if (xs.size() == deg + 1) return Interpolate(ctx, xs, ys);
-  Poly u = Random(ctx, rng, deg - xs.size());
-  return ConstrainedFrom(ctx, u, deg, xs, ys);
-}
-
-Poly Poly::ConstrainedFrom(const FpCtx& ctx, const Poly& u, std::size_t deg,
-                           std::span<const FpElem> xs,
-                           std::span<const FpElem> ys) {
-  Require(xs.size() == ys.size(), "ConstrainedFrom: xs/ys mismatch");
-  Require(xs.size() >= 1, "ConstrainedFrom: need >= 1 constraint");
-  Require(xs.size() <= deg + 1, "ConstrainedFrom: too many constraints");
   Poly interp = Interpolate(ctx, xs, ys);
-  if (xs.size() == deg + 1) return interp;  // fully constrained, u unused
-  Require(u.size() == deg - xs.size() + 1, "ConstrainedFrom: wrong mask size");
-  Poly w = Vanishing(ctx, xs);
-  return Add(ctx, Mul(ctx, w, u), interp);
+  if (xs.size() == deg + 1) return interp;  // fully constrained, no mask
+  Poly u = Random(ctx, rng, deg - xs.size());
+  return Add(ctx, Mul(ctx, Vanishing(ctx, xs), u), interp);
 }
 
 Poly Poly::Interpolate(const FpCtx& ctx, std::span<const FpElem> xs,
@@ -118,7 +106,7 @@ Poly Poly::Mul(const FpCtx& ctx, const Poly& a, const Poly& b) {
 Poly Poly::Vanishing(const FpCtx& ctx, std::span<const FpElem> xs) {
   if (xs.size() >= PolyEngineCrossover()) {
     // The tree root IS the vanishing polynomial, and the domain cache makes
-    // repeated per-block calls (ConstrainedFrom in ShareBlocks) a lookup.
+    // repeated calls over one point set a lookup.
     return Poly(CachedSubproductTree(ctx, xs)->root());
   }
   std::vector<FpElem> c{ctx.One()};

@@ -42,21 +42,13 @@ class Poly {
   // Uniformly random polynomial f of degree <= deg subject to
   // f(xs[i]) == ys[i] for all i. Requires distinct xs and xs.size() <= deg+1.
   // The result is f = W(x)*u(x) + I(x) with W the vanishing polynomial of xs,
-  // u uniform of degree <= deg - xs.size(), and I the interpolant. This is the
-  // dealer's sampling step in packed sharing, zero-sharing, and mask dealing.
+  // u uniform of degree <= deg - xs.size(), and I the interpolant. Packed
+  // sharing draws u exactly as this does but evaluates f through a cached
+  // generator matrix (pss/packed_shamir.h); this stays as its test oracle.
   static Poly RandomWithConstraints(const FpCtx& ctx, Rng& rng,
                                     std::size_t deg,
                                     std::span<const FpElem> xs,
                                     std::span<const FpElem> ys);
-
-  // Deterministic half of RandomWithConstraints: builds W(x)*u(x) + I(x) from
-  // a pre-drawn mask polynomial u of degree <= deg - xs.size(). Splitting the
-  // randomness draw (serial, RNG-ordered) from the constraint solve (pure
-  // compute) is what lets the task pool fan blocks out across threads without
-  // changing which random values any block consumes.
-  static Poly ConstrainedFrom(const FpCtx& ctx, const Poly& u, std::size_t deg,
-                              std::span<const FpElem> xs,
-                              std::span<const FpElem> ys);
 
   // Unique interpolating polynomial of degree <= xs.size()-1 in coefficient
   // form. xs must be distinct. Dispatches to the subproduct-tree engine

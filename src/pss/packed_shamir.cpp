@@ -2,7 +2,6 @@
 
 #include "common/task_pool.h"
 #include "math/berlekamp_welch.h"
-#include "math/poly_engine.h"
 #include "math/weight_cache.h"
 
 namespace pisces::pss {
@@ -16,61 +15,57 @@ PackedShamir::PackedShamir(std::shared_ptr<const FpCtx> ctx, Params params)
 
 std::vector<FpElem> PackedShamir::ShareBlock(std::span<const FpElem> secrets,
                                              Rng& rng) const {
-  Require(secrets.size() == params_.l, "ShareBlock: need exactly l secrets");
-  math::Poly f = math::Poly::RandomWithConstraints(
-      *ctx_, rng, params_.degree(), points_.betas(), secrets);
-  std::vector<FpElem> shares;
-  shares.reserve(params_.n);
-  for (std::size_t i = 0; i < params_.n; ++i) {
-    shares.push_back(f.Eval(*ctx_, points_.alpha(i)));
-  }
-  return shares;
+  const std::vector<FpElem> block(secrets.begin(), secrets.end());
+  return std::move(ShareBlocks({&block, 1}, rng)[0]);
+}
+
+const math::Matrix& PackedShamir::Generator() const {
+  std::call_once(generator_once_, [this] {
+    const std::size_t l = params_.l;
+    const std::size_t d = params_.degree();
+    auto lagrange =
+        math::CachedLagrangeWeights(*ctx_, points_.betas(), points_.alphas());
+    const math::Poly w = math::Poly::Vanishing(*ctx_, points_.betas());
+    generator_ = math::Matrix(params_.n, d + 1);
+    for (std::size_t i = 0; i < params_.n; ++i) {
+      for (std::size_t j = 0; j < l; ++j) {
+        generator_.At(i, j) = (*lagrange)[i][j];
+      }
+      // Column l + k holds W(alpha_i) * alpha_i^k.
+      FpElem wx = w.Eval(*ctx_, points_.alpha(i));
+      for (std::size_t k = l; k <= d; ++k) {
+        generator_.At(i, k) = wx;
+        wx = ctx_->Mul(wx, points_.alpha(i));
+      }
+    }
+  });
+  return generator_;
 }
 
 std::vector<std::vector<FpElem>> PackedShamir::ShareBlocks(
     std::span<const std::vector<FpElem>> blocks, Rng& rng,
     std::uint64_t* extra_cpu_ns) const {
-  const std::size_t d = params_.degree();
+  const std::size_t l = params_.l;
+  const std::size_t m = params_.degree() - l + 1;  // mask coefficients
   for (const auto& block : blocks) {
-    Require(block.size() == params_.l, "ShareBlocks: need exactly l secrets");
+    Require(block.size() == l, "ShareBlocks: need exactly l secrets");
   }
-  // Serial randomness draw in block order: consuming the rng exactly as the
-  // per-block ShareBlock loop would is what keeps multi-threaded runs
+  const math::Matrix& gen = Generator();
+  // Serial draw in block order, each block's mask u drawn as
+  // Poly::Random(d - l) draws it: this keeps multi-threaded runs
   // bit-identical to serial ones.
-  std::vector<math::Poly> us;
-  us.reserve(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    us.push_back(math::Poly::Random(*ctx_, rng, d - params_.l));
-  }
+  std::vector<FpElem> masks(blocks.size() * m);
+  for (FpElem& u : masks) u = ctx_->Random(rng);
   std::vector<std::vector<FpElem>> out(
       blocks.size(), std::vector<FpElem>(params_.n, ctx_->Zero()));
-  if (params_.n >= math::PolyEvalCrossover()) {
-    // Very large n: one remainder-tree multipoint evaluation per block over
-    // the cached alpha domain, O(M(n) log n) instead of the O(n*d)
-    // Vandermonde dots. Same elements either way (exact arithmetic,
-    // canonical form); the high default crossover reflects that the dots
-    // measure faster through n = 1024 (see math/poly_engine.h).
-    auto domain = math::CachedSubproductTree(*ctx_, points_.alphas());
-    GlobalPool().ParallelFor(
-        0, blocks.size(),
-        [&](std::size_t b) {
-          math::Poly f = math::Poly::ConstrainedFrom(
-              *ctx_, us[b], d, points_.betas(), blocks[b]);
-          out[b] = domain->EvalAll(f.coeffs());
-        },
-        extra_cpu_ns);
-    return out;
-  }
-  auto eval_rows =
-      math::CachedVandermondeRows(*ctx_, points_.alphas(), d + 1);
   GlobalPool().ParallelFor(
       0, blocks.size(),
       [&](std::size_t b) {
-        math::Poly f = math::Poly::ConstrainedFrom(*ctx_, us[b], d,
-                                                   points_.betas(), blocks[b]);
-        const std::vector<FpElem>& c = f.coeffs();
+        // [s_0..s_{l-1}, u_0..u_{d-l}], the vector every row is dotted with.
+        std::vector<FpElem> v(blocks[b]);
+        v.insert(v.end(), masks.begin() + b * m, masks.begin() + (b + 1) * m);
         for (std::size_t i = 0; i < params_.n; ++i) {
-          out[b][i] = ctx_->Dot(eval_rows->Row(i).first(c.size()), c);
+          out[b][i] = ctx_->Dot(gen.Row(i), v);
         }
       },
       extra_cpu_ns);
@@ -81,17 +76,11 @@ std::vector<FpElem> PackedShamir::ReconstructBlock(
     std::span<const std::uint32_t> parties,
     std::span<const FpElem> shares) const {
   Require(parties.size() == shares.size(), "ReconstructBlock: size mismatch");
-  Require(parties.size() >= params_.degree() + 1,
-          "ReconstructBlock: not enough shares (need d+1)");
-  std::vector<FpElem> xs = points_.AlphasOf(parties);
+  auto weights = ReconstructionWeights(parties);
   std::vector<FpElem> secrets;
   secrets.reserve(params_.l);
-  const std::size_t m = params_.degree() + 1;
-  std::span<const FpElem> xs_used(xs.data(), m);
-  std::span<const FpElem> ys_used(shares.data(), m);
-  for (std::size_t j = 0; j < params_.l; ++j) {
-    secrets.push_back(
-        math::LagrangeEval(*ctx_, xs_used, ys_used, points_.beta(j)));
+  for (const auto& w : *weights) {
+    secrets.push_back(math::PointChecker::Apply(*ctx_, w, shares));
   }
   return secrets;
 }

@@ -255,6 +255,21 @@ TEST(Cluster, OneRebootVerifiesEachCertOncePerReceiver) {
   EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
 }
 
+// Counter pin for upload share generation: after one warm-up upload (which
+// builds the client's generator matrix and its channels), sharing a file is
+// inversion-free.
+TEST(Cluster, WarmUploadIsInversionFree) {
+  Cluster cluster(SmallConfig());
+  Rng rng(43);
+  cluster.Upload(1, rng.RandomBytes(900));
+  const obs::Snapshot before = obs::TakeSnapshot();
+  cluster.client().BeginUpload(2, rng.RandomBytes(900));
+  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
+  EXPECT_EQ(obs::Value(delta, "field.inversions"), 0u);
+  cluster.sync().RunToQuiescence();
+  EXPECT_EQ(cluster.client().UploadAcks(2), cluster.config().params.n);
+}
+
 // The client side of the replayed-cert fix: host 0's current cert replayed to
 // the client must leave the client's sealed channel to host 0 as it was. A
 // reinstall would restart the client's send counter, and host 0 would then

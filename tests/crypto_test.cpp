@@ -9,6 +9,7 @@
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "obs/registry.h"
 
 namespace pisces::crypto {
 namespace {
@@ -318,6 +319,26 @@ TEST_F(ChannelTest, SealOpenRoundTrip) {
   auto opened2 = a.Open(frame2);
   ASSERT_TRUE(opened2.has_value());
   EXPECT_EQ(*opened2, msg);
+}
+
+// crypto.bytes_sealed / crypto.bytes_opened count plaintext bytes, exactly;
+// a rejected frame opens nothing.
+TEST_F(ChannelTest, SealAndOpenCountPlaintextBytes) {
+  auto a = MakeA();
+  auto b = MakeB();
+  const Bytes msg = rng_.RandomBytes(1000);
+  obs::Snapshot before = obs::TakeSnapshot();
+  Bytes frame = a.Seal(msg);
+  ASSERT_TRUE(b.Open(frame).has_value());
+  obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
+  EXPECT_EQ(obs::Value(delta, "crypto.bytes_sealed"), msg.size());
+  EXPECT_EQ(obs::Value(delta, "crypto.bytes_opened"), msg.size());
+
+  before = obs::TakeSnapshot();
+  EXPECT_FALSE(b.Open(frame).has_value());  // replay
+  delta = obs::Delta(before, obs::TakeSnapshot());
+  EXPECT_EQ(obs::Value(delta, "crypto.bytes_sealed"), 0u);
+  EXPECT_EQ(obs::Value(delta, "crypto.bytes_opened"), 0u);
 }
 
 TEST_F(ChannelTest, TamperDetected) {

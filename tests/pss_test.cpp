@@ -6,7 +6,9 @@
 #include <memory>
 
 #include "common/clock.h"
+#include "common/task_pool.h"
 #include "field/primes.h"
+#include "obs/registry.h"
 #include "pss/recovery.h"
 #include "pss/refresh.h"
 
@@ -249,6 +251,110 @@ TEST(EvalPoints, DisjointAndNonZero) {
       EXPECT_FALSE(ctx.Eq(all[i], all[j]));
     }
   }
+}
+
+// Share generation through the cached generator matrix, checked against the
+// constraint-solve oracle: RandomWithConstraints on an identically seeded rng,
+// then Horner at every alpha. Same elements and same rng consumption.
+class ShareGeneratorTest : public ::testing::Test {
+ protected:
+  static constexpr GridPoint kShapes[] = {{8, 1, 2, 1}, {13, 2, 1, 1},
+                                          {21, 4, 6, 1}};
+
+  static std::shared_ptr<const FpCtx> Ctx(std::size_t bits) {
+    return std::make_shared<const FpCtx>(field::StandardPrimeBe(bits));
+  }
+  static Params Shape(const GridPoint& g, std::size_t bits) {
+    Params p;
+    p.n = g.n;
+    p.t = g.t;
+    p.l = g.l;
+    p.r = g.r;
+    p.field_bits = bits;
+    p.Validate();
+    return p;
+  }
+  static std::vector<std::vector<FpElem>> Blocks(const FpCtx& ctx,
+                                                 std::size_t count,
+                                                 std::size_t l) {
+    Rng rng(0x5EC2E7);
+    std::vector<std::vector<FpElem>> blocks(count);
+    for (auto& b : blocks) {
+      for (std::size_t j = 0; j < l; ++j) b.push_back(ctx.Random(rng));
+    }
+    return blocks;
+  }
+};
+
+TEST_F(ShareGeneratorTest, MatchesConstraintOracleOnEveryPrime) {
+  for (std::size_t bits : field::kStandardFieldBits) {
+    auto ctx = Ctx(bits);
+    for (const GridPoint& g : kShapes) {
+      const Params params = Shape(g, bits);
+      const PackedShamir shamir(ctx, params);
+      const auto blocks = Blocks(*ctx, 3, params.l);
+      Rng gen_rng(bits + g.n), oracle_rng(bits + g.n);
+      const auto shares = shamir.ShareBlocks(blocks, gen_rng);
+      ASSERT_EQ(shares.size(), blocks.size());
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const math::Poly f = math::Poly::RandomWithConstraints(
+            *ctx, oracle_rng, params.degree(), shamir.points().betas(),
+            blocks[b]);
+        ASSERT_EQ(shares[b].size(), params.n);
+        for (std::size_t i = 0; i < params.n; ++i) {
+          EXPECT_EQ(shares[b][i], f.Eval(*ctx, shamir.points().alpha(i)))
+              << "g=" << bits << " " << g << " block " << b << " party " << i;
+        }
+      }
+      EXPECT_EQ(gen_rng.Next(), oracle_rng.Next()) << "g=" << bits << " " << g;
+    }
+  }
+}
+
+TEST_F(ShareGeneratorTest, ShareBlockIsShareBlocksOfOne) {
+  auto ctx = Ctx(256);
+  for (const GridPoint& g : kShapes) {
+    const PackedShamir shamir(ctx, Shape(g, 256));
+    const auto blocks = Blocks(*ctx, 1, g.l);
+    Rng one_rng(g.n), many_rng(g.n);
+    EXPECT_EQ(shamir.ShareBlock(blocks[0], one_rng),
+              shamir.ShareBlocks(blocks, many_rng)[0])
+        << g;
+    EXPECT_EQ(one_rng.Next(), many_rng.Next()) << g;
+  }
+}
+
+TEST_F(ShareGeneratorTest, PoolSizeNeverChangesShares) {
+  auto ctx = Ctx(256);
+  const PackedShamir shamir(ctx, Shape(kShapes[2], 256));
+  const auto blocks = Blocks(*ctx, 17, kShapes[2].l);
+  const std::size_t restore = GlobalPoolThreads();
+  std::vector<std::vector<std::vector<FpElem>>> runs;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    SetGlobalPoolThreads(threads);
+    Rng rng(0xB10C);
+    runs.push_back(shamir.ShareBlocks(blocks, rng));
+  }
+  SetGlobalPoolThreads(restore);
+  EXPECT_EQ(runs[0], runs[1]);
+  EXPECT_EQ(runs[0], runs[2]);
+}
+
+// Counter pin: once the generator is built, sharing B blocks is exactly n
+// dots per block and no inversion. A regression to per-block polynomial
+// construction (one batch inversion per block) fails here.
+TEST_F(ShareGeneratorTest, WarmSharingIsNDotsPerBlockAndNoInversion) {
+  auto ctx = Ctx(1024);
+  const Params params = Shape(kShapes[2], 1024);
+  const PackedShamir shamir(ctx, params);
+  const auto blocks = Blocks(*ctx, 5, params.l);
+  Rng rng(3);
+  shamir.ShareBlocks(blocks, rng);  // warm-up: builds the generator
+  const obs::Snapshot before = obs::TakeSnapshot();
+  shamir.ShareBlocks(blocks, rng);
+  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
+  EXPECT_EQ(obs::Value(delta, "field.inversions"), 0u);
+  EXPECT_EQ(obs::Value(delta, "field.dot_calls"), params.n * blocks.size());
 }
 
 class VssBatchTest : public ::testing::Test {
