@@ -9,6 +9,7 @@
 
 #include "bench_common.h"
 #include "crypto/ca.h"
+#include "crypto/chacha20.h"
 #include "crypto/channel.h"
 #include "field/primes.h"
 #include "math/poly.h"
@@ -290,8 +291,8 @@ BENCHMARK(BM_PolyDomainBuild)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 // --- Certificate and channel crypto (docs/observability.md "crypto.*") ----
 // The fixed per-reboot and per-message costs: one exponentiation with a
 // full-width exponent (the shape of Fermat Inv and of DH), a Schnorr cert
-// verification, a DH key agreement over the 512-bit group, and one sealed
-// frame opened on the other end.
+// verification, a DH key agreement over the 512-bit group, one sealed frame
+// opened on the other end, and the hash and cipher beneath it.
 
 void BM_PowBytes(benchmark::State& state) {
   const FpCtx& ctx = CtxFor(state.range(0));
@@ -342,6 +343,32 @@ void BM_ChannelSealOpen(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChannelSealOpen)->Arg(64)->Arg(4096);
+
+// The two primitives under a sealed frame: one SHA-256 (the HMAC's inner
+// hash) and one ChaCha20 keystream pass, at a one-block and a 4 KiB message.
+void BM_Sha256(benchmark::State& state) {
+  Rng rng(17);
+  const pisces::Bytes msg = rng.RandomBytes(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pisces::crypto::Sha256Hash(msg));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096);
+
+void BM_ChaCha20Xor(benchmark::State& state) {
+  Rng rng(18);
+  const pisces::Bytes key = rng.RandomBytes(pisces::crypto::kChaChaKeySize);
+  const pisces::Bytes nonce = rng.RandomBytes(pisces::crypto::kChaChaNonceSize);
+  pisces::Bytes data = rng.RandomBytes(state.range(0));
+  for (auto _ : state) {
+    pisces::crypto::ChaCha20Xor(key, nonce, 1, data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ChaCha20Xor)->Arg(64)->Arg(4096);
 
 // --- Share generation (pss.* in BENCH_field.json) ------------------------
 // One upload's PackedShamir::ShareBlocks at two perfbench shapes, args

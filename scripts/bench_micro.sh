@@ -15,7 +15,7 @@
 # compiled -- "debug" for the distro package -- not how our code was).
 #
 # The cert/channel crypto benches (exponentiation, Schnorr verify, DH,
-# seal+open) land in a "crypto" section, and upload share generation
+# seal+open, SHA-256, ChaCha20) land in a "crypto" section, and upload share generation
 # (BM_ShareBlocks at the window-bulk and serve-wire shapes) in a "pss"
 # section. Given a second build dir -- a Release build of micro_field_ops at
 # another commit, compiled with this commit's bench/micro_field_ops.cpp so it
@@ -33,7 +33,7 @@ BUILD_DIR="${1:-build-rel}"
 BEFORE_DIR="${2:-}"
 RAW_FIELD_JSON="$BUILD_DIR/micro_field_raw.json"
 RAW_POLY_JSON="$BUILD_DIR/micro_poly_raw.json"
-ROUND_FILTER='BM_(PowBytes|SchnorrVerify|DhSharedSecret|ChannelSealOpen|FieldInv|ShareBlocks)'
+ROUND_FILTER='BM_(PowBytes|SchnorrVerify|DhSharedSecret|ChannelSealOpen|Sha256|ChaCha20Xor|FieldInv|ShareBlocks)'
 CRYPTO_ROUNDS=15
 OUT_JSON="BENCH_field.json"
 

@@ -8,8 +8,8 @@
 # of contract TSan can falsify. The exponentiation, cert, channel and
 # host-cert suites ride along too: the serving plane runs whole clusters on
 # pool workers at once, cert checks, key agreements and sealed channels
-# included, so their shared counters and lazily built statics must be
-# race-free.
+# included, so their shared counters and lazily built statics (the SHA-256
+# kernel chosen once by CPUID among them) must be race-free.
 # Any report is fatal (-fno-sanitize-recover=all + halt_on_error).
 #
 # The determinism contract (docs/parallelism.md) says parallel bodies write
@@ -31,7 +31,7 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # Run the pool-heavy suites with a wide pool (PISCES_THREADS is honored by the
 # benches; the tests size the pool themselves via SetGlobalPoolThreads /
 # params.b, so the filters below are what matters).
-"$BUILD_DIR/tests/pisces_tests" --gtest_filter='Determinism.*:*VssBatchTest*:*PssGridTest*:RobustShamir.*:*FieldPropertyTest*:*FieldKernelTest*:FieldKernelFallback.*:DifferentialTest.*:PolyEngine.*:BatchInv.*:Chaos.*:Cluster.*:LongHorizon.*:Registry.*:Trace.*:Byzantine*:Fuzz.*:EventLoop.*:AsyncTcp.*:TransportConformance.*:Serving.*:ServingDifferential.*:CommStripe.*:CommReadSpec.*:CommDifferential.*:CommBytes.*:CommRecovery.*:CommServing.*:CommStatus.*:Reshare*:Elastic*:*PowDifferentialTest*:SchnorrTest.*:Hmac.*:ChannelTest.*:ChannelGolden.*:HostDirect.*:ShareGeneratorTest.*'
+"$BUILD_DIR/tests/pisces_tests" --gtest_filter='Determinism.*:*VssBatchTest*:*PssGridTest*:RobustShamir.*:*FieldPropertyTest*:*FieldKernelTest*:FieldKernelFallback.*:DifferentialTest.*:PolyEngine.*:BatchInv.*:Chaos.*:Cluster.*:LongHorizon.*:Registry.*:Trace.*:Byzantine*:Fuzz.*:EventLoop.*:AsyncTcp.*:TransportConformance.*:Serving.*:ServingDifferential.*:CommStripe.*:CommReadSpec.*:CommDifferential.*:CommBytes.*:CommRecovery.*:CommServing.*:CommStatus.*:Reshare*:Elastic*:*PowDifferentialTest*:SchnorrTest.*:Hmac.*:ChannelTest.*:ChannelGolden.*:Sha256Kernels.*:ChaCha20.*:HostDirect.*:ShareGeneratorTest.*'
 
 # The open-loop serving drill: many protocol sessions pumped through the
 # task pool per tick while admission queues churn -- the serving lane's

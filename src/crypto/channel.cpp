@@ -38,8 +38,12 @@ SecureChannel::SecureChannel(std::span<const std::uint8_t> send_key,
     : send_(CheckedKey(send_key)), recv_(CheckedKey(recv_key)) {}
 
 namespace {
-Bytes NonceFor(std::uint64_t counter) {
-  Bytes nonce(kChaChaNonceSize, 0);
+// Frame layout: counter (u64 LE) || ciphertext length (u32 LE) || ChaCha20
+// ciphertext || HMAC-SHA256 tag over everything before it.
+constexpr std::size_t kFrameHeader = 8 + 4;
+
+std::array<std::uint8_t, kChaChaNonceSize> NonceFor(std::uint64_t counter) {
+  std::array<std::uint8_t, kChaChaNonceSize> nonce{};
   StoreLe64(counter, nonce.data());
   return nonce;
 }
@@ -50,56 +54,49 @@ Bytes SecureChannel::Seal(std::span<const std::uint8_t> plaintext) {
       "crypto.bytes_sealed", "plaintext bytes sealed by SecureChannel::Seal");
   sealed.Add(plaintext.size());
   ++send_counter_;
-  Bytes ct(plaintext.begin(), plaintext.end());
-  ChaCha20Xor(send_.cipher_key, NonceFor(send_counter_), 1, ct);
-
-  ByteWriter w;
-  w.U64(send_counter_);
-  w.Blob(ct);
-  Digest tag = send_.mac.Mac(w.bytes());
-  w.Raw(tag);
-  return w.Take();
+  const std::size_t body_len = kFrameHeader + plaintext.size();
+  Bytes frame(body_len + kSha256DigestSize);
+  StoreLe64(send_counter_, frame.data());
+  StoreLe32(static_cast<std::uint32_t>(plaintext.size()), frame.data() + 8);
+  std::copy(plaintext.begin(), plaintext.end(), frame.begin() + kFrameHeader);
+  ChaCha20Xor(send_.cipher_key, NonceFor(send_counter_), 1,
+              std::span<std::uint8_t>(frame).subspan(kFrameHeader,
+                                                     plaintext.size()));
+  const Digest tag = send_.mac.Mac(std::span(frame).first(body_len));
+  std::copy(tag.begin(), tag.end(), frame.begin() + body_len);
+  return frame;
 }
 
 std::optional<Bytes> SecureChannel::Open(std::span<const std::uint8_t> frame) {
-  if (frame.size() < 8 + 4 + kSha256DigestSize) return std::nullopt;
-  std::size_t body_len = frame.size() - kSha256DigestSize;
-  std::span<const std::uint8_t> body = frame.subspan(0, body_len);
-  std::span<const std::uint8_t> tag_bytes = frame.subspan(body_len);
-
-  Digest expected = recv_.mac.Mac(body);
+  if (frame.size() < kFrameHeader + kSha256DigestSize) return std::nullopt;
+  const std::size_t body_len = frame.size() - kSha256DigestSize;
+  Digest expected = recv_.mac.Mac(frame.first(body_len));
   Digest got;
-  std::copy(tag_bytes.begin(), tag_bytes.end(), got.begin());
+  std::copy(frame.begin() + body_len, frame.end(), got.begin());
   if (!DigestEq(expected, got)) return std::nullopt;
 
-  try {
-    ByteReader r(body);
-    std::uint64_t counter = r.U64();
-    auto ct = r.Blob();
-    if (!r.AtEnd()) return std::nullopt;
-    // Sliding-window anti-replay. recv_seen_ bit i covers counter
-    // recv_highwater_ - i; bit 0 (the highwater itself) is always set.
-    if (counter > recv_highwater_) {
-      const std::uint64_t advance = counter - recv_highwater_;
-      recv_seen_ = advance >= 64 ? 0 : recv_seen_ << advance;
-      recv_seen_ |= 1;
-      recv_highwater_ = counter;
-    } else {
-      const std::uint64_t behind = recv_highwater_ - counter;
-      if (behind >= kReplayWindow) return std::nullopt;  // too old
-      const std::uint64_t bit = 1ull << behind;
-      if ((recv_seen_ & bit) != 0) return std::nullopt;  // replay
-      recv_seen_ |= bit;
-    }
-    Bytes pt(ct.begin(), ct.end());
-    ChaCha20Xor(recv_.cipher_key, NonceFor(counter), 1, pt);
-    static obs::Counter& opened = obs::RegisterCounter(
-        "crypto.bytes_opened", "plaintext bytes opened by SecureChannel::Open");
-    opened.Add(pt.size());
-    return pt;
-  } catch (const ParseError&) {
-    return std::nullopt;
+  const std::uint64_t counter = LoadLe64(frame.data());
+  if (LoadLe32(frame.data() + 8) != body_len - kFrameHeader) return std::nullopt;
+  // Sliding-window anti-replay. recv_seen_ bit i covers counter
+  // recv_highwater_ - i; bit 0 (the highwater itself) is always set.
+  if (counter > recv_highwater_) {
+    const std::uint64_t advance = counter - recv_highwater_;
+    recv_seen_ = advance >= 64 ? 0 : recv_seen_ << advance;
+    recv_seen_ |= 1;
+    recv_highwater_ = counter;
+  } else {
+    const std::uint64_t behind = recv_highwater_ - counter;
+    if (behind >= kReplayWindow) return std::nullopt;  // too old
+    const std::uint64_t bit = 1ull << behind;
+    if ((recv_seen_ & bit) != 0) return std::nullopt;  // replay
+    recv_seen_ |= bit;
   }
+  Bytes pt(frame.begin() + kFrameHeader, frame.begin() + body_len);
+  ChaCha20Xor(recv_.cipher_key, NonceFor(counter), 1, pt);
+  static obs::Counter& opened = obs::RegisterCounter(
+      "crypto.bytes_opened", "plaintext bytes opened by SecureChannel::Open");
+  opened.Add(pt.size());
+  return pt;
 }
 
 SecureChannel MakeChannel(const SchnorrGroup& group,

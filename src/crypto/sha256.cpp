@@ -1,5 +1,11 @@
 #include "crypto/sha256.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "crypto/sha256_kernels.h"
+
 namespace pisces::crypto {
 
 namespace {
@@ -25,6 +31,110 @@ std::uint32_t Rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); 
 
 }  // namespace
 
+namespace kernels {
+
+void Sha256CompressScalar(std::uint32_t state[8], const std::uint8_t* data,
+                          std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t(data[4 * i]) << 24) |
+             (std::uint32_t(data[4 * i + 1]) << 16) |
+             (std::uint32_t(data[4 * i + 2]) << 8) |
+             std::uint32_t(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+      std::uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t t2 = s0 + maj;
+      h = g; g = f; f = e; e = d + t1;
+      d = c; c = b; b = a; a = t1 + t2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+// Intel SHA extensions: sha256rnds2 runs two rounds on the state split as
+// (ABEF, CDGH); msg1/msg2 extend the schedule four words at a time, so the
+// 16 message words live in four registers that roll over the 16 groups of
+// four rounds.
+__attribute__((target("sha,sse4.1"))) void Sha256CompressShaNi(
+    std::uint32_t state[8], const std::uint8_t* data, std::size_t blocks) {
+  const __m128i kBswap32 =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          kBswap32);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      // w[g & 3] holds W[4g-16 .. 4g-13]; extend it to W[4g .. 4g+3].
+      __m128i& cur = w[g & 3];
+      if (g >= 4) {
+        const __m128i prev1 = w[(g - 1) & 3];
+        const __m128i prev2 = w[(g - 2) & 3];
+        const __m128i prev3 = w[(g - 3) & 3];
+        cur = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(cur, prev3),
+                          _mm_alignr_epi8(prev1, prev2, 4)),
+            prev1);
+      }
+      const __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+bool Sha256HasShaNi() {
+#if defined(__x86_64__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+}  // namespace kernels
+
 Sha256::Sha256() { Reset(); }
 
 void Sha256::Reset() {
@@ -33,33 +143,14 @@ void Sha256::Reset() {
   total_len_ = 0;
 }
 
-void Sha256::Compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t(block[4 * i]) << 24) |
-           (std::uint32_t(block[4 * i + 1]) << 16) |
-           (std::uint32_t(block[4 * i + 2]) << 8) |
-           std::uint32_t(block[4 * i + 3]);
+void Sha256::Compress(const std::uint8_t* data, std::size_t blocks) {
+#if defined(__x86_64__)
+  if (kernels::Sha256HasShaNi()) {
+    kernels::Sha256CompressShaNi(h_.data(), data, blocks);
+    return;
   }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-    std::uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  h_[0] += a; h_[1] += b; h_[2] += c; h_[3] += d;
-  h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
+#endif
+  kernels::Sha256CompressScalar(h_.data(), data, blocks);
 }
 
 void Sha256::Update(std::span<const std::uint8_t> data) {
@@ -71,13 +162,14 @@ void Sha256::Update(std::span<const std::uint8_t> data) {
     buf_len_ += take;
     off = take;
     if (buf_len_ == 64) {
-      Compress(buf_.data());
+      Compress(buf_.data(), 1);
       buf_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    Compress(data.data() + off);
-    off += 64;
+  const std::size_t blocks = (data.size() - off) / 64;
+  if (blocks > 0) {
+    Compress(data.data() + off, blocks);
+    off += 64 * blocks;
   }
   if (off < data.size()) {
     std::copy(data.begin() + off, data.end(), buf_.begin());
@@ -86,15 +178,18 @@ void Sha256::Update(std::span<const std::uint8_t> data) {
 }
 
 Digest Sha256::Finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  // Pad to 56 mod 64, then 8 bytes big-endian length.
-  std::size_t pad_len = (buf_len_ < 56) ? (56 - buf_len_) : (120 - buf_len_);
-  std::uint8_t len_be[8];
+  // Pad in place: 0x80, zeros to 56 mod 64, then the 64-bit big-endian bit
+  // length; a tail of 56 bytes or more spills into a second block.
+  const std::uint64_t bit_len = total_len_ * 8;
+  buf_[buf_len_] = 0x80;
+  std::fill(buf_.begin() + buf_len_ + 1, buf_.end(), 0);
+  if (buf_len_ >= 56) {
+    Compress(buf_.data(), 1);
+    std::fill(buf_.begin(), buf_.begin() + 56, 0);
+  }
   for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  Update({pad, pad_len});
-  Update({len_be, 8});
+    buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  Compress(buf_.data(), 1);
   Digest out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);

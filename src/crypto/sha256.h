@@ -1,4 +1,6 @@
-// SHA-256 (FIPS 180-4), implemented from scratch.
+// SHA-256 (FIPS 180-4), implemented from scratch. The compression function
+// runs on the CPU's SHA extensions where present, else on a portable scalar
+// loop (crypto/sha256_kernels.h).
 //
 // Used for: file integrity checksums in the codec, HMAC/HKDF for channel
 // keys, and the Fiat-Shamir style challenge in Schnorr signatures.
@@ -26,7 +28,8 @@ class Sha256 {
   void Reset();
 
  private:
-  void Compress(const std::uint8_t* block);
+  // Compresses `blocks` consecutive 64-byte blocks into h_.
+  void Compress(const std::uint8_t* data, std::size_t blocks);
 
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, 64> buf_;

@@ -71,11 +71,9 @@ std::optional<Poly> RobustInterpolate(const FpCtx& ctx,
   Require(xs.size() == ys.size(), "RobustInterpolate: xs/ys mismatch");
   Require(xs.size() >= deg + 1, "RobustInterpolate: too few points");
 
-  // e = 0 fast path: plain interpolation of the first deg+1 points.
-  if (PointsOnLowDegree(ctx, xs, ys, deg)) {
-    return Poly::Interpolate(
-        ctx, xs.subspan(0, deg + 1), ys.subspan(0, deg + 1));
-  }
+  // e = 0 fast path: the interpolant of the first deg+1 points, when every
+  // other point agrees with it.
+  if (auto f = LowDegreeInterpolant(ctx, xs, ys, deg)) return f;
 
   for (std::size_t e = 1; e <= max_errors; ++e) {
     if (xs.size() < deg + 2 * e + 1) break;  // outside the decoding radius

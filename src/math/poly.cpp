@@ -248,6 +248,15 @@ bool PointsOnLowDegree(const FpCtx& ctx, std::span<const FpElem> xs,
                        std::span<const FpElem> ys, std::size_t deg) {
   Require(xs.size() == ys.size(), "PointsOnLowDegree: xs/ys mismatch");
   if (xs.size() <= deg + 1) return true;  // always interpolatable
+  return LowDegreeInterpolant(ctx, xs, ys, deg).has_value();
+}
+
+std::optional<Poly> LowDegreeInterpolant(const FpCtx& ctx,
+                                         std::span<const FpElem> xs,
+                                         std::span<const FpElem> ys,
+                                         std::size_t deg) {
+  Require(xs.size() == ys.size(), "LowDegreeInterpolant: xs/ys mismatch");
+  Require(xs.size() >= deg + 1, "LowDegreeInterpolant: too few points");
   Poly f = Poly::Interpolate(ctx, xs.subspan(0, deg + 1), ys.subspan(0, deg + 1));
   std::span<const FpElem> extras = xs.subspan(deg + 1);
   if (extras.size() >= PolyEvalCrossover()) {
@@ -255,14 +264,14 @@ bool PointsOnLowDegree(const FpCtx& ctx, std::span<const FpElem> xs,
     // Horner (the early-exit below is worthless once evaluation is batched).
     std::vector<FpElem> vals = EvalMany(ctx, f.coeffs(), extras);
     for (std::size_t i = 0; i < extras.size(); ++i) {
-      if (!ctx.Eq(vals[i], ys[deg + 1 + i])) return false;
+      if (!ctx.Eq(vals[i], ys[deg + 1 + i])) return std::nullopt;
     }
-    return true;
+    return f;
   }
   for (std::size_t i = deg + 1; i < xs.size(); ++i) {
-    if (!ctx.Eq(f.Eval(ctx, xs[i]), ys[i])) return false;
+    if (!ctx.Eq(f.Eval(ctx, xs[i]), ys[i])) return std::nullopt;
   }
-  return true;
+  return f;
 }
 
 PointChecker::PointChecker(const FpCtx& ctx, std::vector<FpElem> xs,

@@ -10,6 +10,7 @@
 // canonical), so callers never see which path ran.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -101,6 +102,14 @@ std::vector<std::vector<FpElem>> LagrangeCoeffsMulti(
 // This is the well-formedness check used by VSS verifiers.
 bool PointsOnLowDegree(const FpCtx& ctx, std::span<const FpElem> xs,
                        std::span<const FpElem> ys, std::size_t deg);
+
+// The same check, handing back the polynomial it built: the interpolant of
+// the first deg+1 points if every point lies on it, else nullopt. Requires
+// xs.size() >= deg+1.
+std::optional<Poly> LowDegreeInterpolant(const FpCtx& ctx,
+                                         std::span<const FpElem> xs,
+                                         std::span<const FpElem> ys,
+                                         std::size_t deg);
 
 // Precomputed consistency/evaluation machinery for a fixed point set.
 //

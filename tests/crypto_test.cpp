@@ -9,6 +9,7 @@
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "obs/registry.h"
 
 namespace pisces::crypto {
@@ -51,6 +52,60 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.Update(std::span<const std::uint8_t>(data).subspan(0, split));
     h.Update(std::span<const std::uint8_t>(data).subspan(split));
     EXPECT_EQ(h.Finish(), Sha256Hash(data)) << split;
+  }
+}
+
+// SHA-256 of `data` on the scalar kernel alone, with its own padding: the
+// oracle for Sha256's kernel choice and for its Update/Finish buffering.
+Digest ScalarSha256(std::span<const std::uint8_t> data) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{data.size()} * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  kernels::Sha256CompressScalar(state, padded.data(), padded.size() / 64);
+  Digest out;
+  for (int i = 0; i < 32; ++i) out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalarOnRandomBlocks) {
+#if defined(__x86_64__)
+  if (!kernels::Sha256HasShaNi()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  Rng rng(0x5A256);
+  for (int iter = 0; iter < 10000; ++iter) {
+    std::uint32_t scalar[8], shani[8];
+    for (int i = 0; i < 8; ++i) scalar[i] = shani[i] = static_cast<std::uint32_t>(rng.Next());
+    const std::size_t blocks = 1 + iter % 3;
+    const Bytes data = rng.RandomBytes(64 * blocks);
+    kernels::Sha256CompressScalar(scalar, data.data(), blocks);
+    kernels::Sha256CompressShaNi(shani, data.data(), blocks);
+    ASSERT_TRUE(std::equal(scalar, scalar + 8, shani)) << "iteration " << iter;
+  }
+#else
+  GTEST_SKIP() << "SHA-NI kernel is x86-64 only";
+#endif
+}
+
+// Every length through 300 bytes (the 55/56/63/64 padding edges and several
+// blocks), fed whole and in uneven Update splits, against the scalar oracle.
+TEST(Sha256Kernels, HashMatchesScalarOracleForEveryLengthAndSplit) {
+  Rng rng(0xD16E57);
+  const Bytes data = rng.RandomBytes(300);
+  const std::span<const std::uint8_t> all(data);
+  for (std::size_t len = 0; len <= all.size(); ++len) {
+    const auto msg = all.first(len);
+    const Digest want = ScalarSha256(msg);
+    EXPECT_EQ(Sha256Hash(msg), want) << len;
+    for (std::size_t step : {1u, 7u, 63u, 64u, 65u}) {
+      Sha256 h;
+      for (std::size_t off = 0; off < len; off += step) {
+        h.Update(msg.subspan(off, std::min(step, len - off)));
+      }
+      EXPECT_EQ(h.Finish(), want) << len << " in steps of " << step;
+    }
   }
 }
 
@@ -154,6 +209,61 @@ TEST(ChaCha20, RejectsBadSizes) {
   Bytes nonce(12, 0);
   Bytes data(4, 0);
   EXPECT_THROW(ChaCha20Xor(key, nonce, 0, data), InvalidArgument);
+}
+
+// RFC 8439 section 2.3, one 32-bit word at a time: the oracle for the
+// row-vector ChaCha20.
+void ScalarChaCha20Xor(std::span<const std::uint8_t> key,
+                       std::span<const std::uint8_t> nonce,
+                       std::uint32_t counter, std::span<std::uint8_t> data) {
+  auto rotl = [](std::uint32_t x, int n) { return (x << n) | (x >> (32 - n)); };
+  auto qr = [&](std::uint32_t* w, int a, int b, int c, int d) {
+    w[a] += w[b]; w[d] ^= w[a]; w[d] = rotl(w[d], 16);
+    w[c] += w[d]; w[b] ^= w[c]; w[b] = rotl(w[b], 12);
+    w[a] += w[b]; w[d] ^= w[a]; w[d] = rotl(w[d], 8);
+    w[c] += w[d]; w[b] ^= w[c]; w[b] = rotl(w[b], 7);
+  };
+  for (std::size_t off = 0; off < data.size(); off += 64, ++counter) {
+    std::uint32_t state[16] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+    for (int i = 0; i < 8; ++i) state[4 + i] = LoadLe32(key.data() + 4 * i);
+    state[12] = counter;
+    for (int i = 0; i < 3; ++i) state[13 + i] = LoadLe32(nonce.data() + 4 * i);
+    std::uint32_t w[16];
+    std::copy(state, state + 16, w);
+    for (int round = 0; round < 10; ++round) {
+      qr(w, 0, 4, 8, 12); qr(w, 1, 5, 9, 13); qr(w, 2, 6, 10, 14); qr(w, 3, 7, 11, 15);
+      qr(w, 0, 5, 10, 15); qr(w, 1, 6, 11, 12); qr(w, 2, 7, 8, 13); qr(w, 3, 4, 9, 14);
+    }
+    for (std::size_t i = 0; i < 64 && off + i < data.size(); ++i) {
+      data[off + i] ^= static_cast<std::uint8_t>((w[i / 4] + state[i / 4]) >> (8 * (i % 4)));
+    }
+  }
+}
+
+TEST(ChaCha20, MatchesScalarOracleForEveryLength) {
+  Rng rng(0xC4AC4A);
+  const Bytes key = rng.RandomBytes(kChaChaKeySize);
+  const Bytes nonce = rng.RandomBytes(kChaChaNonceSize);
+  const Bytes text = rng.RandomBytes(300);
+  for (std::size_t len = 0; len <= text.size(); ++len) {
+    Bytes got(text.begin(), text.begin() + len);
+    Bytes want = got;
+    ChaCha20Xor(key, nonce, 1, got);
+    ScalarChaCha20Xor(key, nonce, 1, want);
+    ASSERT_EQ(got, want) << len;
+  }
+}
+
+// The block counter is 32 bits and wraps; the nonce words never carry.
+TEST(ChaCha20, CounterWrapMatchesScalarOracle) {
+  Rng rng(0x3A9);
+  const Bytes key = rng.RandomBytes(kChaChaKeySize);
+  const Bytes nonce = rng.RandomBytes(kChaChaNonceSize);
+  Bytes got = rng.RandomBytes(4 * 64 + 17);
+  Bytes want = got;
+  ChaCha20Xor(key, nonce, 0xfffffffe, got);
+  ScalarChaCha20Xor(key, nonce, 0xfffffffe, want);
+  EXPECT_EQ(got, want);
 }
 
 class SchnorrTest : public ::testing::Test {
@@ -418,6 +528,28 @@ TEST(ChannelGolden, SealFrameIsPinned) {
   auto opened = rx.Open(frame);
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(*opened, msg);
+}
+
+// The one-buffer Seal writes exactly the frame the ByteWriter construction
+// did: counter || blob(ChaCha20 ciphertext) || HMAC over both.
+TEST(ChannelGolden, SealMatchesByteWriterFrame) {
+  Rng rng(0xF4A3E);
+  const Bytes key = rng.RandomBytes(64);
+  SecureChannel tx(key, rng.RandomBytes(64));
+  const std::span<const std::uint8_t> cipher_key = std::span(key).first(32);
+  const std::span<const std::uint8_t> mac_key = std::span(key).subspan(32);
+  for (std::uint64_t counter = 1; counter <= 301; ++counter) {
+    const Bytes msg = rng.RandomBytes(counter - 1);
+    Bytes nonce(kChaChaNonceSize, 0);
+    StoreLe64(counter, nonce.data());
+    Bytes ct = msg;
+    ChaCha20Xor(cipher_key, nonce, 1, ct);
+    ByteWriter w;
+    w.U64(counter);
+    w.Blob(ct);
+    w.Raw(HmacSha256(mac_key, w.bytes()));
+    ASSERT_EQ(tx.Seal(msg), w.bytes()) << "length " << msg.size();
+  }
 }
 
 TEST_F(ChannelTest, EpochSeparation) {

@@ -5,6 +5,7 @@
 
 #include "field/primes.h"
 #include "math/berlekamp_welch.h"
+#include "obs/registry.h"
 #include "pisces/pisces.h"
 #include "pss/packed_shamir.h"
 
@@ -156,6 +157,37 @@ TEST(RobustShamir, ToleratesCorruptShares) {
   for (std::size_t j = 0; j < p.l; ++j) {
     EXPECT_TRUE(ctx->Eq((*rec)[j], secrets[j]));
   }
+}
+
+// Counter pin: on clean shares the e = 0 path reuses the interpolant its
+// consistency check built, so a warm decode is one inversion per block (the
+// batch inversion of one Lagrange interpolation), not two.
+TEST(RobustShamir, WarmCleanDecodeIsOneInversionPerBlock) {
+  auto ctx = std::make_shared<const FpCtx>(field::StandardPrimeBe(1024));
+  pss::Params p;
+  p.n = 21;
+  p.t = 4;
+  p.l = 6;
+  p.field_bits = 1024;
+  pss::PackedShamir shamir(ctx, p);
+  Rng rng(41);
+  std::vector<std::vector<FpElem>> blocks;
+  for (int b = 0; b < 4; ++b) {
+    std::vector<FpElem> secrets;
+    for (std::size_t j = 0; j < p.l; ++j) secrets.push_back(ctx->Random(rng));
+    blocks.push_back(shamir.ShareBlock(secrets, rng));
+  }
+  std::vector<std::uint32_t> parties;
+  for (std::uint32_t i = 0; i < p.n; ++i) parties.push_back(i);
+  ASSERT_TRUE(shamir.RobustReconstructBlock(parties, blocks[0]).has_value());
+  const obs::Snapshot before = obs::TakeSnapshot();
+  for (const auto& shares : blocks) {
+    std::vector<std::size_t> corrupted;
+    ASSERT_TRUE(shamir.RobustReconstructBlock(parties, shares, &corrupted));
+    EXPECT_TRUE(corrupted.empty());
+  }
+  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
+  EXPECT_EQ(obs::Value(delta, "field.inversions"), blocks.size());
 }
 
 TEST(RobustDownload, ClientSurvivesLyingHosts) {
