@@ -208,44 +208,15 @@ BENCHMARK(BM_LagrangeCoeffs)->Arg(19)->Arg(37);
 
 // --- Poly-engine suite (docs/polynomial_engine.md) ------------------------
 // Engine-vs-oracle pairs at n in {16, 64, 256, 1024} on the 256-bit field
-// (the serving hot path); scripts/bench_micro.sh turns these into the
-// eval/interp sections of BENCH_field.json and the measured crossover.
+// (the serving hot path); scripts/bench_micro.sh turns these into the "poly"
+// section of BENCH_field.json and the measured crossover.
 
-// Share-generation shape: a degree n/2 polynomial evaluated at n points.
+// Share-domain shape: the consecutive points 1..n.
 std::vector<FpElem> BenchPoints(const FpCtx& ctx, std::size_t n) {
   std::vector<FpElem> xs;
   for (std::size_t i = 0; i < n; ++i) xs.push_back(ctx.FromUint64(i + 1));
   return xs;
 }
-
-void BM_PolyEvalTree(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(256);
-  Rng rng(10);
-  const std::size_t n = state.range(0);
-  const std::vector<FpElem> xs = BenchPoints(ctx, n);
-  // Domain built once outside the loop: the cache amortizes it in the
-  // protocol exactly the same way (BM_PolyDomainBuild prices the build).
-  pisces::math::SubproductTree tree(ctx, xs);
-  auto f = pisces::math::Poly::Random(ctx, rng, n / 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.EvalAll(f.coeffs()));
-  }
-}
-BENCHMARK(BM_PolyEvalTree)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_PolyEvalHorner(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(256);
-  Rng rng(10);
-  const std::size_t n = state.range(0);
-  const std::vector<FpElem> xs = BenchPoints(ctx, n);
-  auto f = pisces::math::Poly::Random(ctx, rng, n / 2);
-  for (auto _ : state) {
-    std::vector<FpElem> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = f.Eval(ctx, xs[i]);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_PolyEvalHorner)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_PolyInterpTree(benchmark::State& state) {
   const FpCtx& ctx = CtxFor(256);
@@ -275,8 +246,8 @@ void BM_PolyInterpLagrange(benchmark::State& state) {
 }
 BENCHMARK(BM_PolyInterpLagrange)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
-// One-time domain cost: tree + per-node inverse series + barycentric
-// weights. Amortized across every block/window that reuses the point set.
+// One-time domain cost: node polynomials + barycentric weights. Amortized
+// across every block/window that reuses the point set.
 void BM_PolyDomainBuild(benchmark::State& state) {
   const FpCtx& ctx = CtxFor(256);
   const std::size_t n = state.range(0);

@@ -1,19 +1,21 @@
 // Distributed harness: the same Host state machines running over REAL TCP
-// sockets on loopback, one thread per host, with a driver playing the
-// hypervisor and the stock Client doing upload/download.
+// sockets on loopback (one AsyncTcpEndpoint per party), one thread per host,
+// with a driver playing the hypervisor and the stock Client doing
+// upload/download.
 //
 // Demonstrates that the protocol layer is transport-agnostic: everything the
 // simulator runs (share upload, rerandomization, reboot + recovery,
-// reconstruction) also runs over an actual network stack.
+// reconstruction) also runs over an actual network stack. Exits 0 only when
+// the final download is bit-exact.
 //
-//   $ ./tcp_cluster [base_port]
+//   $ ./tcp_cluster [base_port]   (listens on base_port .. base_port + 8)
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
 
 #include "common/log.h"
-#include "net/tcp_transport.h"
+#include "net/async_tcp.h"
 #include "pisces/pisces.h"
 
 namespace {
@@ -22,8 +24,16 @@ using namespace pisces;
 
 constexpr std::size_t kN = 7;
 
+net::AsyncTcpOptions EndpointOpts(std::uint32_t id, std::uint16_t port) {
+  net::AsyncTcpOptions o;
+  o.id = id;
+  o.listen_port = port;
+  o.seed = 1 + id;  // reconnect jitter stream
+  return o;
+}
+
 struct HostRunner {
-  std::unique_ptr<net::TcpEndpoint> endpoint;
+  std::unique_ptr<net::AsyncTcpEndpoint> endpoint;
   std::unique_ptr<Host> host;
   std::thread thread;
   std::atomic<bool> running{false};
@@ -41,6 +51,7 @@ struct HostRunner {
     running.store(false);
     if (thread.joinable()) thread.join();
   }
+  ~HostRunner() { Stop(); }
 };
 
 }  // namespace
@@ -67,18 +78,18 @@ int main(int argc, char** argv) {
   const std::uint16_t client_port = base + kN;
   const std::uint16_t hyper_port = base + kN + 1;
 
-  std::printf("PiSCES over TCP: %zu hosts on 127.0.0.1:%u..%u\n", kN, base,
-              base + kN + 1);
+  std::printf("PiSCES over TCP: %zu hosts on 127.0.0.1:%u..%u\n", kN,
+              static_cast<unsigned>(base), static_cast<unsigned>(hyper_port));
 
   // Bring up endpoints and the full peer mesh.
   std::vector<HostRunner> runners(kN);
   for (std::uint32_t i = 0; i < kN; ++i) {
-    runners[i].endpoint = std::make_unique<net::TcpEndpoint>(
-        i, static_cast<std::uint16_t>(base + i));
+    runners[i].endpoint = std::make_unique<net::AsyncTcpEndpoint>(
+        EndpointOpts(i, static_cast<std::uint16_t>(base + i)));
   }
-  net::TcpEndpoint client_ep(net::kClientId, client_port);
-  net::TcpEndpoint hyper_ep(net::kHypervisorId, hyper_port);
-  auto add_all_peers = [&](net::TcpEndpoint& ep) {
+  net::AsyncTcpEndpoint client_ep(EndpointOpts(net::kClientId, client_port));
+  net::AsyncTcpEndpoint hyper_ep(EndpointOpts(net::kHypervisorId, hyper_port));
+  auto add_all_peers = [&](net::AsyncTcpEndpoint& ep) {
     for (std::uint32_t j = 0; j < kN; ++j) {
       if (ep.id() != j) ep.AddPeer(j, static_cast<std::uint16_t>(base + j));
     }
@@ -170,7 +181,6 @@ int main(int argc, char** argv) {
     if (msg && msg->type == net::MsgType::kPhaseDone && msg->row == 0) {
       if (msg->payload.empty() || msg->payload[0] != 1) {
         std::printf("FAILED: host %u reported refresh failure\n", msg->from);
-        for (auto& r : runners) r.Stop();
         return 1;
       }
       ++done_count;
@@ -235,6 +245,5 @@ int main(int argc, char** argv) {
   std::printf("download over TCP: %s\n",
               (got && back == file) ? "bit-exact" : "FAILED");
 
-  for (auto& r : runners) r.Stop();
   return (recovered && got && back == file) ? 0 : 1;
 }

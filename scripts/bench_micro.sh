@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Field-kernel + polynomial-engine microbenchmark harness: configures and
 # builds a Release tree, runs the mul/sqr/dot kernels at every standard prime
-# size plus the subproduct-tree eval/interp/batch-inversion benchmarks at
-# n in {16, 64, 256, 1024}, and distills the google-benchmark JSON into
+# size plus the subproduct-tree interpolation, domain-build and
+# batch-inversion benchmarks at n in {16, 64, 256, 1024}, and distills the google-benchmark JSON into
 # BENCH_field.json at the repo root -- machine-readable specialized-vs-generic
 # numbers plus speedup ratios, with the acceptance gates (>= 1.5x Montgomery
 # multiply at g=256; >= 5x tree interpolation vs the Lagrange oracle at
@@ -17,7 +17,8 @@
 # The cert/channel crypto benches (exponentiation, Schnorr verify, DH,
 # seal+open, SHA-256, ChaCha20) land in a "crypto" section, and upload share generation
 # (BM_ShareBlocks at the window-bulk and serve-wire shapes) in a "pss"
-# section. Given a second build dir -- a Release build of micro_field_ops at
+# section; they and the tree build (BM_PolyDomainBuild, reported in "poly")
+# run in short rounds. Given a second build dir -- a Release build of micro_field_ops at
 # another commit, compiled with this commit's bench/micro_field_ops.cpp so it
 # has the same benches -- both sets run on both binaries in alternating rounds
 # (the one on a shared host is never measured in a quieter phase than the
@@ -33,7 +34,7 @@ BUILD_DIR="${1:-build-rel}"
 BEFORE_DIR="${2:-}"
 RAW_FIELD_JSON="$BUILD_DIR/micro_field_raw.json"
 RAW_POLY_JSON="$BUILD_DIR/micro_poly_raw.json"
-ROUND_FILTER='BM_(PowBytes|SchnorrVerify|DhSharedSecret|ChannelSealOpen|Sha256|ChaCha20Xor|FieldInv|ShareBlocks)'
+ROUND_FILTER='BM_(PowBytes|SchnorrVerify|DhSharedSecret|ChannelSealOpen|Sha256|ChaCha20Xor|FieldInv|ShareBlocks|PolyDomainBuild)'
 CRYPTO_ROUNDS=15
 OUT_JSON="BENCH_field.json"
 
@@ -60,16 +61,16 @@ fi
 # (hundreds of ms per iteration), so fewer repetitions keep the harness
 # tractable; min-of-3 retains the one-sided-noise property.
 "$BUILD_DIR/bench/micro_field_ops" \
-  --benchmark_filter='BM_(Poly|BatchInv)' \
+  --benchmark_filter='BM_(PolyInterp|BatchInv)' \
   --benchmark_out="$RAW_POLY_JSON" \
   --benchmark_out_format=json \
   --benchmark_repetitions=3
 
-# Short crypto and share-generation rounds (0.1 s per benchmark),
+# Short crypto, share-generation and domain-build rounds (0.1 s per benchmark),
 # alternating which binary goes first: the host's contention phases last
 # under a second, so both binaries sample the same mix of them. The min
 # across all rounds of a binary is its figure.
-crypto_run() {  # <binary dir> <raw output>
+round_run() {  # <binary dir> <raw output>
   "$1/bench/micro_field_ops" \
     --benchmark_filter="$ROUND_FILTER" \
     --benchmark_out="$2" \
@@ -79,11 +80,11 @@ crypto_run() {  # <binary dir> <raw output>
 rm -f "$BUILD_DIR"/micro_crypto_*.json
 for round in $(seq "$CRYPTO_ROUNDS"); do
   if [ -n "$BEFORE_DIR" ] && [ $((round % 2)) -eq 0 ]; then
-    crypto_run "$BEFORE_DIR" "$BUILD_DIR/micro_crypto_before_$round.json"
+    round_run "$BEFORE_DIR" "$BUILD_DIR/micro_crypto_before_$round.json"
   fi
-  crypto_run "$BUILD_DIR" "$BUILD_DIR/micro_crypto_after_$round.json"
+  round_run "$BUILD_DIR" "$BUILD_DIR/micro_crypto_after_$round.json"
   if [ -n "$BEFORE_DIR" ] && [ $((round % 2)) -eq 1 ]; then
-    crypto_run "$BEFORE_DIR" "$BUILD_DIR/micro_crypto_before_$round.json"
+    round_run "$BEFORE_DIR" "$BUILD_DIR/micro_crypto_before_$round.json"
   fi
 done
 
@@ -164,25 +165,6 @@ for g in sizes:
         "dot_speedup": ratio(dot_naive, dot),
     }
 
-# Polynomial engine (256-bit field, domain size n): subproduct-tree
-# eval/interp vs the generic oracles, plus domain build and batch inversion.
-# eval_speedup < 1 through n=1024 is EXPECTED and recorded honestly -- it is
-# the measurement behind the high PolyEvalCrossover default (see
-# docs/polynomial_engine.md).
-for n in sorted(ns.get("BM_PolyInterpTree", {})):
-    result["poly"][str(n)] = {
-        "eval_tree_ns": ns["BM_PolyEvalTree"][n],
-        "eval_horner_ns": ns["BM_PolyEvalHorner"][n],
-        "eval_speedup": ratio(ns["BM_PolyEvalHorner"][n],
-                              ns["BM_PolyEvalTree"][n]),
-        "interp_tree_ns": ns["BM_PolyInterpTree"][n],
-        "interp_lagrange_ns": ns["BM_PolyInterpLagrange"][n],
-        "interp_speedup": ratio(ns["BM_PolyInterpLagrange"][n],
-                                ns["BM_PolyInterpTree"][n]),
-        "domain_build_ns": ns["BM_PolyDomainBuild"][n],
-        "batchinv_ns": ns["BM_BatchInv"][n],
-    }
-
 # Cert and channel crypto, keyed by the full benchmark name (e.g.
 # "BM_PowBytes/512", "BM_SchnorrVerify"); min across every repetition of
 # every round, as above.
@@ -198,9 +180,30 @@ def min_by_name(raws):
 
 after = min_by_name(raw_after)
 before = min_by_name(raw_before)
+
+# Polynomial engine (256-bit field, domain size n): subproduct-tree
+# interpolation vs the Lagrange oracle, batch inversion, and the tree build
+# (from the rounds, so it carries the second build's figure when given).
+for n in sorted(ns.get("BM_PolyInterpTree", {})):
+    build = f"BM_PolyDomainBuild/{n}"
+    entry = {
+        "interp_tree_ns": ns["BM_PolyInterpTree"][n],
+        "interp_lagrange_ns": ns["BM_PolyInterpLagrange"][n],
+        "interp_speedup": ratio(ns["BM_PolyInterpLagrange"][n],
+                                ns["BM_PolyInterpTree"][n]),
+        "domain_build_ns": after[build],
+        "batchinv_ns": ns["BM_BatchInv"][n],
+    }
+    if build in before:
+        entry["domain_build_before_ns"] = before[build]
+        entry["domain_build_speedup"] = ratio(before[build], after[build])
+    result["poly"][str(n)] = entry
+
 result["crypto"] = {}
 result["pss"] = {}
 for name in sorted(after):
+    if name.startswith("BM_PolyDomainBuild"):
+        continue
     entry = {"after_ns": after[name]}
     if name in before:
         entry["before_ns"] = before[name]

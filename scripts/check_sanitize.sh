@@ -8,7 +8,9 @@
 # migrations + churn + Byzantine contributor under open-loop load), so
 # host-process, serving-plane, and shape-change code paths get the same
 # memory-safety scrutiny as in-process ones. Any report is fatal
-# (-fno-sanitize-recover=all + halt_on_error).
+# (-fno-sanitize-recover=all + halt_on_error), and so is any compiler
+# warning: the tree builds with -Werror on top of the project's
+# -Wall -Wextra, so a new warning fails this job.
 #
 # Usage: scripts/check_sanitize.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -18,6 +20,7 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-Werror \
   -DPISCES_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 

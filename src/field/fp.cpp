@@ -15,8 +15,7 @@ namespace {
 
 // Process-wide kernel instrumentation, held in the obs telemetry registry
 // under "field.*" (relaxed counters only, never control flow, so they cannot
-// perturb results or determinism). GetKernelStats/ResetKernelStats below
-// stay as thin views over these registry entries.
+// perturb results or determinism).
 struct KernelCounters {
   obs::Counter& mont_muls = obs::RegisterCounter(
       "field.mont_muls", "Montgomery multiplications (debug builds only)");
@@ -117,24 +116,6 @@ Limbs LimbsFromBe(std::span<const std::uint8_t> be) {
 }
 
 }  // namespace
-
-KernelStatsSnapshot GetKernelStats() {
-  KernelStatsSnapshot s;
-  s.mont_muls = g_kernel_stats.mont_muls.Load();
-  s.mont_sqrs = g_kernel_stats.mont_sqrs.Load();
-  s.dot_calls = g_kernel_stats.dot_calls.Load();
-  s.dot_products = g_kernel_stats.dot_products.Load();
-  s.dot_reductions = g_kernel_stats.dot_reductions.Load();
-  return s;
-}
-
-void ResetKernelStats() {
-  g_kernel_stats.mont_muls.Reset();
-  g_kernel_stats.mont_sqrs.Reset();
-  g_kernel_stats.dot_calls.Reset();
-  g_kernel_stats.dot_products.Reset();
-  g_kernel_stats.dot_reductions.Reset();
-}
 
 FpCtx::FpCtx(std::span<const std::uint8_t> modulus_be,
              KernelDispatch dispatch) {

@@ -34,19 +34,13 @@ struct FpElem {
   bool operator==(const FpElem&) const = default;
 };
 
-// Process-wide instrumentation for the kernel layer (docs/field_kernels.md).
-// The dot counters are always live (one relaxed atomic bump per Dot call,
-// amortized over n products); the per-multiply counters are debug-only so the
-// release hot path stays untouched.
-struct KernelStatsSnapshot {
-  std::uint64_t mont_muls = 0;       // debug builds only (0 under NDEBUG)
-  std::uint64_t mont_sqrs = 0;       // debug builds only (0 under NDEBUG)
-  std::uint64_t dot_calls = 0;       // Dot() calls + DotAcc::Reduce() calls
-  std::uint64_t dot_products = 0;    // products accumulated without reduction
-  std::uint64_t dot_reductions = 0;  // wide reductions: exactly 1 per output
-};
-KernelStatsSnapshot GetKernelStats();
-void ResetKernelStats();
+// Process-wide instrumentation for the kernel layer (docs/field_kernels.md)
+// lives in the obs registry: field.dot_calls (Dot() calls + DotAcc::Reduce()
+// calls), field.dot_products (products accumulated without reduction) and
+// field.dot_reductions (wide reductions, exactly 1 per output) are always
+// live, one relaxed atomic bump per Dot call amortized over n products;
+// field.mont_muls and field.mont_sqrs count only in debug builds, so the
+// release hot path stays untouched. Read them with obs::TakeSnapshot.
 
 // Kernel selection policy for FpCtx: kAuto binds the width-specialized
 // kernels when the modulus width is one of the standard sizes (k in

@@ -258,16 +258,6 @@ std::optional<Poly> LowDegreeInterpolant(const FpCtx& ctx,
   Require(xs.size() == ys.size(), "LowDegreeInterpolant: xs/ys mismatch");
   Require(xs.size() >= deg + 1, "LowDegreeInterpolant: too few points");
   Poly f = Poly::Interpolate(ctx, xs.subspan(0, deg + 1), ys.subspan(0, deg + 1));
-  std::span<const FpElem> extras = xs.subspan(deg + 1);
-  if (extras.size() >= PolyEvalCrossover()) {
-    // Many check points: one multipoint evaluation instead of per-point
-    // Horner (the early-exit below is worthless once evaluation is batched).
-    std::vector<FpElem> vals = EvalMany(ctx, f.coeffs(), extras);
-    for (std::size_t i = 0; i < extras.size(); ++i) {
-      if (!ctx.Eq(vals[i], ys[deg + 1 + i])) return std::nullopt;
-    }
-    return f;
-  }
   for (std::size_t i = deg + 1; i < xs.size(); ++i) {
     if (!ctx.Eq(f.Eval(ctx, xs[i]), ys[i])) return std::nullopt;
   }

@@ -1,7 +1,6 @@
 #include "math/poly_engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -18,8 +17,6 @@ obs::Counter& g_pd_hits =
     obs::RegisterCounter("math.pd_hits", "poly-domain (subproduct tree) cache hits");
 obs::Counter& g_pd_misses =
     obs::RegisterCounter("math.pd_misses", "poly-domain (subproduct tree) cache misses");
-obs::Counter& g_tree_evals =
-    obs::RegisterCounter("math.tree_evals", "multipoint evaluations on a subproduct tree");
 obs::Counter& g_tree_interps =
     obs::RegisterCounter("math.tree_interps", "interpolations on a subproduct tree");
 
@@ -28,27 +25,10 @@ obs::Counter& g_tree_interps =
 // coefficient) is faster than the recursion's add/copy overhead.
 constexpr std::size_t kKaratsubaBase = 24;
 
-// Subproduct-tree leaves cover at most this many points; leaf work (Horner
-// evaluation, synthetic-division combination) is O(leaf^2) with tiny
-// constants, so small leaves just add node overhead.
+// Subproduct-tree leaves cover at most this many points; leaf work (the
+// synthetic-division combination) is O(leaf^2) with tiny constants, so small
+// leaves just add node overhead.
 constexpr std::size_t kTreeLeafSize = 8;
-
-// Compiled defaults for the two crossovers; see the header comments and
-// scripts/bench_micro.sh for the measured trajectories they were picked
-// from. 17 keeps every n <= 16 configuration on the legacy interpolation
-// path; 4096 reflects that tree evaluation measured slower than the cached
-// Vandermonde/Horner paths at every benched size up to 1024.
-constexpr std::size_t kDefaultCrossover = 17;
-constexpr std::size_t kDefaultEvalCrossover = 4096;
-
-std::size_t EnvOverride(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    char* end = nullptr;
-    const unsigned long long x = std::strtoull(env, &end, 10);
-    if (end != env && x > 0) return static_cast<std::size_t>(x);
-  }
-  return fallback;
-}
 
 // out[k] = sum_{i+j=k} a[i]*b[j], one wide reduction per coefficient.
 std::vector<FpElem> SchoolbookMul(const FpCtx& ctx, std::span<const FpElem> a,
@@ -105,64 +85,7 @@ std::vector<FpElem> MulRec(const FpCtx& ctx, std::span<const FpElem> a,
   return out;
 }
 
-// a*b mod x^l, returned as exactly l coefficients (zero-padded).
-std::vector<FpElem> TruncMul(const FpCtx& ctx, std::span<const FpElem> a,
-                             std::span<const FpElem> b, std::size_t l) {
-  a = a.first(std::min(a.size(), l));
-  b = b.first(std::min(b.size(), l));
-  std::vector<FpElem> out;
-  if (!a.empty() && !b.empty()) out = MulRec(ctx, a, b);
-  out.resize(l, ctx.Zero());
-  return out;
-}
-
-// b^{-1} mod x^l by Newton iteration; requires b[0] == 1 (rev of a monic
-// polynomial), so no field inversion is ever needed.
-std::vector<FpElem> InverseSeries(const FpCtx& ctx, std::span<const FpElem> b,
-                                  std::size_t l) {
-  std::vector<FpElem> g{ctx.One()};
-  const FpElem two = ctx.Add(ctx.One(), ctx.One());
-  std::size_t k = 1;
-  while (k < l) {
-    k = std::min(2 * k, l);
-    std::vector<FpElem> e = TruncMul(ctx, b, g, k);
-    for (FpElem& v : e) v = ctx.Neg(v);
-    e[0] = ctx.Add(e[0], two);  // e = 2 - b*g mod x^k
-    g = TruncMul(ctx, g, e, k);
-  }
-  return g;
-}
-
-// Schoolbook remainder of a by the monic b (leading coefficient 1, so no
-// inversions). Only used for dividends larger than the tree root, which the
-// protocol paths never produce.
-std::vector<FpElem> ReduceByMonic(const FpCtx& ctx, std::vector<FpElem> a,
-                                  std::span<const FpElem> b) {
-  const std::size_t db = b.size() - 1;
-  for (std::size_t i = a.size(); i-- > db;) {
-    const FpElem factor = a[i];
-    if (ctx.IsZero(factor)) continue;
-    for (std::size_t j = 0; j < db; ++j) {
-      a[i - db + j] = ctx.Sub(a[i - db + j], ctx.Mul(factor, b[j]));
-    }
-  }
-  a.resize(db);
-  return a;
-}
-
 }  // namespace
-
-std::size_t PolyEngineCrossover() {
-  static const std::size_t v =
-      EnvOverride("PISCES_POLY_CROSSOVER", kDefaultCrossover);
-  return v;
-}
-
-std::size_t PolyEvalCrossover() {
-  static const std::size_t v =
-      EnvOverride("PISCES_POLY_EVAL_CROSSOVER", kDefaultEvalCrossover);
-  return v;
-}
 
 std::vector<FpElem> MulPolys(const FpCtx& ctx, std::span<const FpElem> a,
                              std::span<const FpElem> b) {
@@ -176,21 +99,9 @@ SubproductTree::SubproductTree(const FpCtx& ctx, std::vector<FpElem> xs)
   const std::size_t m = xs_.size();
   nodes_.reserve(4 * (m / kTreeLeafSize + 1));
   root_ = Build(0, m);
-  // Inverse-series pass: each child carries rev(child)^{-1} to the precision
-  // its sibling's degree demands, making every remainder-tree division two
-  // truncated products (RemByNode) with zero field inversions.
-  for (const Node& n : nodes_) {
-    if (n.left == npos) continue;
-    Node& l = nodes_[n.left];
-    Node& r = nodes_[n.right];
-    std::vector<FpElem> rev(l.poly.rbegin(), l.poly.rend());
-    l.inv_rev = InverseSeries(*ctx_, rev, r.count);
-    rev.assign(r.poly.rbegin(), r.poly.rend());
-    r.inv_rev = InverseSeries(*ctx_, rev, l.count);
-  }
-  // Barycentric weights: P'(x_i) for all i by one multipoint evaluation of
-  // the derivative, then a single batch inversion. A zero derivative value
-  // is exactly a repeated point.
+  // Barycentric weights: P'(x_i) for all i by Horner on the derivative, then
+  // a single batch inversion. A zero derivative value is exactly a repeated
+  // point.
   const std::vector<FpElem>& pc = nodes_[root_].poly;
   std::vector<FpElem> dp(m);
   FpElem idx = ctx_->Zero();
@@ -198,7 +109,7 @@ SubproductTree::SubproductTree(const FpCtx& ctx, std::vector<FpElem> xs)
     idx = ctx_->Add(idx, ctx_->One());
     dp[i - 1] = ctx_->Mul(pc[i], idx);
   }
-  inv_derivs_ = EvalAll(dp);
+  inv_derivs_ = EvalMany(*ctx_, dp, xs_);
   for (const FpElem& d : inv_derivs_) {
     Require(!ctx_->IsZero(d), "SubproductTree: duplicate point");
   }
@@ -233,59 +144,6 @@ std::size_t SubproductTree::Build(std::size_t begin, std::size_t count) {
 
 const std::vector<FpElem>& SubproductTree::root() const {
   return nodes_[root_].poly;
-}
-
-std::vector<FpElem> SubproductTree::RemByNode(const Node& n,
-                                              std::span<const FpElem> a) const {
-  const std::size_t db = n.count;
-  std::vector<FpElem> r(db, ctx_->Zero());
-  if (a.size() <= db) {
-    std::copy(a.begin(), a.end(), r.begin());
-    return r;
-  }
-  // a = q*poly + r. rev(q) = rev(a) * rev(poly)^{-1} mod x^{deg a - db + 1};
-  // the stored precision (sibling degree) always covers it because the
-  // parent's remainder has degree < parent count = db + sibling count.
-  const std::size_t qn = a.size() - db;
-  Require(qn <= n.inv_rev.size(), "SubproductTree: inverse precision exceeded");
-  std::vector<FpElem> arev(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) arev[i] = a[a.size() - 1 - i];
-  const std::vector<FpElem> qrev = TruncMul(*ctx_, arev, n.inv_rev, qn);
-  std::vector<FpElem> q(qn);
-  for (std::size_t i = 0; i < qn; ++i) q[i] = qrev[qn - 1 - i];
-  const std::vector<FpElem> qb = TruncMul(*ctx_, q, n.poly, db);
-  for (std::size_t i = 0; i < db; ++i) r[i] = ctx_->Sub(a[i], qb[i]);
-  return r;
-}
-
-void SubproductTree::DownEval(std::size_t node_idx, std::vector<FpElem> rem,
-                              std::vector<FpElem>& out) const {
-  const Node& n = nodes_[node_idx];
-  if (n.left == npos) {
-    for (std::size_t i = 0; i < n.count; ++i) {
-      const FpElem& x = xs_[n.begin + i];
-      FpElem acc = ctx_->Zero();
-      for (std::size_t j = rem.size(); j-- > 0;) {
-        acc = ctx_->Add(ctx_->Mul(acc, x), rem[j]);
-      }
-      out[n.begin + i] = acc;
-    }
-    return;
-  }
-  DownEval(n.left, RemByNode(nodes_[n.left], rem), out);
-  DownEval(n.right, RemByNode(nodes_[n.right], rem), out);
-}
-
-std::vector<FpElem> SubproductTree::EvalAll(std::span<const FpElem> f) const {
-  const std::size_t m = xs_.size();
-  std::vector<FpElem> out(m, ctx_->Zero());
-  if (f.empty()) return out;
-  std::vector<FpElem> rem(f.begin(), f.end());
-  if (rem.size() > m) rem = ReduceByMonic(*ctx_, std::move(rem), root());
-  rem.resize(m, ctx_->Zero());
-  g_tree_evals.Add();
-  DownEval(root_, std::move(rem), out);
-  return out;
 }
 
 std::vector<FpElem> SubproductTree::UpCombine(
@@ -332,11 +190,6 @@ std::vector<FpElem> SubproductTree::Interpolate(
 
 std::vector<FpElem> EvalMany(const FpCtx& ctx, std::span<const FpElem> f,
                              std::span<const FpElem> xs) {
-  // The tree pays off when there are very many points AND the polynomial is
-  // dense enough that per-point Horner is not already linear-time.
-  if (xs.size() >= PolyEvalCrossover() && f.size() >= 2 * kTreeLeafSize) {
-    return CachedSubproductTree(ctx, xs)->EvalAll(f);
-  }
   std::vector<FpElem> out(xs.size(), ctx.Zero());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     FpElem acc = ctx.Zero();
@@ -412,18 +265,6 @@ std::size_t PolyDomainCacheSize() {
   DomainCache& c = Domains();
   std::lock_guard<std::mutex> lock(c.mu);
   return c.trees.size();
-}
-
-PolyEngineStats GetPolyEngineStats() {
-  return {g_pd_hits.Load(), g_pd_misses.Load(), g_tree_evals.Load(),
-          g_tree_interps.Load()};
-}
-
-void ResetPolyEngineStats() {
-  g_pd_hits.Reset();
-  g_pd_misses.Reset();
-  g_tree_evals.Reset();
-  g_tree_interps.Reset();
 }
 
 }  // namespace pisces::math

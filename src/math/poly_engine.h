@@ -1,22 +1,17 @@
-// Quasi-linear polynomial engine: subproduct-tree multipoint evaluation and
-// interpolation over F_p (docs/polynomial_engine.md).
+// Quasi-linear polynomial engine: subproduct-tree interpolation over F_p
+// (docs/polynomial_engine.md).
 //
 // The generic algebra in math/poly.h is O(m^2) field multiplications per
-// block for interpolation, Lagrange weights, and dense evaluation -- ample at
-// the paper's degrees (d <= ~40) but the dominant window cost as n grows.
-// This engine supplies the classical divide-and-conquer replacements
-// (von zur Gathen & Gerhard, ch. 9-10):
+// block for interpolation and Lagrange weights -- ample at the paper's
+// degrees (d <= ~40) but the dominant window cost as n grows. This engine
+// supplies the classical divide-and-conquer replacements (von zur Gathen &
+// Gerhard, ch. 10):
 //
 //   * MulPolys          -- Karatsuba product, O(m^1.585), with a lazy-dot
 //                          schoolbook base case (one Montgomery reduction per
 //                          output coefficient via DotAcc);
 //   * SubproductTree    -- binary tree of monic node polynomials over a point
-//                          set, each node carrying the Newton inverse power
-//                          series rev(node)^{-1} mod x^sibling_deg that turns
-//                          every remainder-tree division into two truncated
-//                          products;
-//   * EvalAll           -- multipoint evaluation by the remainder tree,
-//                          O(M(m) log m);
+//                          set;
 //   * Interpolate       -- barycentric interpolation: cached 1/P'(x_i)
 //                          weights (one batch inversion at tree build) plus
 //                          the linear-combination up-tree, O(M(m) log m);
@@ -26,6 +21,12 @@
 //                          wholesale clear at the size cap), so every (n, t)
 //                          share domain -- holder alphas, secret betas,
 //                          responder subsets -- pays tree construction once.
+//
+// Multipoint evaluation has no tree path: at every benched size through
+// n = 1024 the remainder tree measured slower than per-point Horner or cached
+// Vandermonde dot products (FpElem is a fixed kMaxLimbs-wide array, so the
+// tree's extra adds and copies move 256 bytes per coefficient while a lazy
+// dot does one wide reduction per output), so EvalMany is Horner.
 //
 // Dispatch policy: the entry points in math/poly.h consult
 // PolyEngineCrossover() and keep the generic path below it, so small-n
@@ -54,26 +55,16 @@ namespace pisces::math {
 using field::FpCtx;
 using field::FpElem;
 
-// Point-count threshold above which the subproduct-tree paths replace the
-// generic O(m^2) algebra for INTERPOLATION, Lagrange weights, and vanishing
-// polynomials. The compiled default is measured on the release build
+// Point-count threshold at and above which the subproduct-tree paths replace
+// the generic O(m^2) algebra for interpolation, Lagrange weights, and
+// vanishing polynomials. Measured on the release build
 // (scripts/bench_micro.sh records the trajectory in BENCH_field.json): the
 // up-tree interpolation beats the Lagrange oracle from a few dozen points
-// (~3.6x at n=16 already), so the default sits just above the paper-scale
-// sizes to keep small-n runs on the legacy path byte-for-byte.
-// PISCES_POLY_CROSSOVER overrides it (read once per process).
-std::size_t PolyEngineCrossover();
-
-// Separate, much higher threshold for multipoint EVALUATION. Measured on
-// this substrate the remainder tree loses to per-point Horner / cached
-// Vandermonde dot products through n = 1024 -- FpElem is a fixed
-// kMaxLimbs-wide array, so Karatsuba's extra adds/copies move 256 bytes per
-// coefficient regardless of field width while a lazy dot does one wide
-// reduction per output -- and only wins asymptotically beyond that. The
-// eval sections of BENCH_field.json record exactly this (speedup < 1 at the
-// benched sizes), which is why the default keeps production shapes on the
-// Vandermonde path. PISCES_POLY_EVAL_CROSSOVER overrides it.
-std::size_t PolyEvalCrossover();
+// (~3x at n=16 already), so the threshold sits just above the paper-scale
+// sizes to keep small-n runs on the legacy path byte-for-byte. At the
+// paper's n = 21 both sides run: l-point secret sets stay on Lagrange and
+// 21-point holder sets take the tree.
+constexpr std::size_t PolyEngineCrossover() { return 17; }
 
 // Exact polynomial product, same value as the schoolbook convolution of
 // math/poly.h (F_p is exact; Montgomery form is canonical). Karatsuba above
@@ -82,15 +73,14 @@ std::size_t PolyEvalCrossover();
 std::vector<FpElem> MulPolys(const FpCtx& ctx, std::span<const FpElem> a,
                              std::span<const FpElem> b);
 
-// f(x) at every point of xs. Dispatches: remainder tree over the (cached)
-// subproduct tree when xs is large and f is dense enough to amortize it,
-// Horner per point otherwise. Exact either way.
+// f(x) at every point of xs, by Horner per point.
 std::vector<FpElem> EvalMany(const FpCtx& ctx, std::span<const FpElem> f,
                              std::span<const FpElem> xs);
 
 // Subproduct tree over a fixed point set: the precomputed domain object for
-// multipoint evaluation and interpolation. Immutable after construction;
-// safe to share across threads (see docs/parallelism.md).
+// interpolation, the vanishing polynomial and the barycentric weights.
+// Immutable after construction; safe to share across threads (see
+// docs/parallelism.md).
 class SubproductTree {
  public:
   // Points must be distinct (detected at construction via P'(x_i) == 0).
@@ -107,10 +97,6 @@ class SubproductTree {
   // inversion at construction; every per-block interpolation reuses them.
   std::span<const FpElem> inv_derivs() const { return inv_derivs_; }
 
-  // f evaluated at every point, in point order. Any f size (a dividend
-  // larger than the root is reduced by schoolbook monic division first).
-  std::vector<FpElem> EvalAll(std::span<const FpElem> f) const;
-
   // Coefficients (size()) of the unique degree < size() interpolant through
   // (points()[i], ys[i]). ys.size() must equal size().
   std::vector<FpElem> Interpolate(std::span<const FpElem> ys) const;
@@ -121,19 +107,11 @@ class SubproductTree {
     std::size_t count = 0;   // number of points covered
     std::size_t left = 0;    // child indices into nodes_ (leaf: left == npos)
     std::size_t right = 0;
-    std::vector<FpElem> poly;     // monic, count + 1 coefficients
-    std::vector<FpElem> inv_rev;  // rev(poly)^{-1} mod x^{sibling_count}
+    std::vector<FpElem> poly;  // monic, count + 1 coefficients
   };
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   std::size_t Build(std::size_t begin, std::size_t count);
-  // Remainder of `a` (size <= node.count + sibling precision) modulo the
-  // node polynomial via the precomputed inverse series: two truncated
-  // products, no field inversions.
-  std::vector<FpElem> RemByNode(const Node& node,
-                                std::span<const FpElem> a) const;
-  void DownEval(std::size_t node_idx, std::vector<FpElem> rem,
-                std::vector<FpElem>& out) const;
   std::vector<FpElem> UpCombine(std::size_t node_idx,
                                 std::span<const FpElem> scaled) const;
 
@@ -146,24 +124,14 @@ class SubproductTree {
 
 // Process-wide subproduct-tree domain cache, keyed like math/weight_cache
 // (context address + little-endian coordinate dump, wholesale clear past the
-// cap). Values are immutable; lookups from pool workers are safe.
+// cap). Values are immutable; lookups from pool workers are safe. Lookups
+// count into the registry as math.pd_hits / math.pd_misses, and tree
+// interpolations as math.tree_interps (read them with obs::TakeSnapshot).
 std::shared_ptr<const SubproductTree> CachedSubproductTree(
     const FpCtx& ctx, std::span<const FpElem> xs);
 
 // Test hooks, mirroring the weight-cache ones.
 void ClearPolyDomainCache();
 std::size_t PolyDomainCacheSize();
-
-// Cumulative engine counters (process-wide relaxed atomics; observability
-// only). domain_hits/misses track CachedSubproductTree; tree_evals and
-// tree_interps count EvalAll/Interpolate calls that actually ran on a tree.
-struct PolyEngineStats {
-  std::uint64_t domain_hits = 0;
-  std::uint64_t domain_misses = 0;
-  std::uint64_t tree_evals = 0;
-  std::uint64_t tree_interps = 0;
-};
-PolyEngineStats GetPolyEngineStats();
-void ResetPolyEngineStats();
 
 }  // namespace pisces::math

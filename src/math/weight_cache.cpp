@@ -10,8 +10,7 @@ namespace pisces::math {
 
 namespace {
 
-// Registry-held ("math.*") hit/miss counters; GetWeightCacheStats below is a
-// thin view over them.
+// Registry-held ("math.*") hit/miss counters.
 obs::Counter& g_wc_hits =
     obs::RegisterCounter("math.wc_hits", "weight/Vandermonde cache hits");
 obs::Counter& g_wc_misses =
@@ -113,15 +112,6 @@ std::size_t WeightCacheSize() {
   Caches& c = Instance();
   std::lock_guard<std::mutex> lock(c.mu);
   return c.weights.size() + c.vandermonde.size();
-}
-
-WeightCacheStats GetWeightCacheStats() {
-  return {g_wc_hits.Load(), g_wc_misses.Load()};
-}
-
-void ResetWeightCacheStats() {
-  g_wc_hits.Reset();
-  g_wc_misses.Reset();
 }
 
 }  // namespace pisces::math

@@ -55,15 +55,10 @@ void ClearWeightCaches();
 // Test hook: total entries currently held across both caches.
 std::size_t WeightCacheSize();
 
-// Cumulative hit/miss counters across both caches (process-wide, relaxed
-// atomics -- observability only, never part of control flow). The driver
-// snapshots these around each experiment window and the Recorder CSV carries
-// the deltas, so a sweep shows how much precomputation the caches absorbed.
-struct WeightCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-WeightCacheStats GetWeightCacheStats();
-void ResetWeightCacheStats();
+// Hits and misses across both caches count into the obs registry as
+// math.wc_hits / math.wc_misses (relaxed atomics -- observability only, never
+// part of control flow). The driver snapshots the registry around each
+// experiment window and the Recorder CSV carries the deltas, so a sweep shows
+// how much precomputation the caches absorbed.
 
 }  // namespace pisces::math

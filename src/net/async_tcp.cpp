@@ -206,7 +206,8 @@ void AsyncTcpEndpoint::LoopMain() {
 }
 
 void AsyncTcpEndpoint::UpdateReadInterest() {
-  const std::uint32_t interest = reading_paused_ ? 0 : EventLoop::kReadable;
+  const std::uint32_t interest =
+      reading_paused_ ? 0u : std::uint32_t{EventLoop::kReadable};
   for (auto& [fd, in] : inbound_) {
     if (loop_.WatchesFd(fd)) loop_.UpdateFd(fd, interest);
   }
@@ -220,7 +221,9 @@ void AsyncTcpEndpoint::OnListenReady() {
     SetNonBlocking(fd, true);
     SetNoDelay(fd);
     inbound_.emplace(fd, Inbound{fd, {}});
-    loop_.AddFd(fd, reading_paused_ ? 0 : EventLoop::kReadable,
+    const std::uint32_t interest =
+        reading_paused_ ? 0u : std::uint32_t{EventLoop::kReadable};
+    loop_.AddFd(fd, interest,
                 [this, fd](std::uint32_t ev) { OnInboundReady(fd, ev); });
   }
 }

@@ -2,11 +2,10 @@
 // endpoint, non-blocking length-framed I/O, bounded queues with end-to-end
 // backpressure, and per-peer connection supervision.
 //
-// This is the deployment-plane counterpart of the synchronous loopback
-// TcpEndpoint (kept for the legacy example) and of the deterministic
-// SimEndpoint (kept as the testing substrate). All three pass the same
-// transport-conformance suite; the async endpoint is what pisces_hostd and
-// the multiprocess coordinator run on (docs/deployment.md).
+// This is the only real-network transport: pisces_hostd, the multiprocess
+// coordinator (docs/deployment.md), the serving gateway and the tcp_cluster
+// example all run on it. It and the deterministic SimEndpoint (the testing
+// substrate) pass the same transport-conformance suite.
 //
 // Wire format: every frame is a 4-byte little-endian length prefix followed
 // by `length` bytes. length >= kWireHeaderSize frames a serialized Message;

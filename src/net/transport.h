@@ -3,8 +3,9 @@
 //
 //  * SimTransport -- deterministic in-process fabric used by tests and by the
 //    experiment harness (it meters every byte);
-//  * TcpTransport -- real loopback TCP sockets, used by the distributed
-//    example to show the same host code running over an actual network.
+//  * AsyncTcpEndpoint -- real TCP sockets with supervised connections
+//    (net/async_tcp.h), used by the host daemons, the serving gateway and
+//    the distributed example to run the same host code over a network.
 #pragma once
 
 #include <optional>

@@ -3,10 +3,9 @@
 // Subsystems register named counters/gauges once (at static-init or first
 // use) and bump them from hot paths with a single relaxed atomic op. The
 // driver takes whole-registry snapshots around a measurement window and
-// attributes activity to the window via the snapshot delta -- replacing the
-// per-subsystem getter plumbing (field::GetKernelStats,
-// math::GetWeightCacheStats) that previously had to be threaded through by
-// hand for every new counter.
+// attributes activity to the window via the snapshot delta; tests read a
+// counter the same way (TakeSnapshot before and after, then Delta and Value),
+// so no subsystem keeps a getter of its own.
 //
 // Contract:
 //  - Registration is idempotent by name and returns a reference with stable
@@ -23,13 +22,11 @@
 
 namespace obs {
 
-// Monotonic event count. Reset exists only so legacy Reset*Stats wrappers
-// (used by tests) keep working; production readers use snapshot deltas.
+// Monotonic event count; readers use snapshot deltas.
 class Counter {
  public:
   void Add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t Load() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};

@@ -56,7 +56,9 @@ TEST(LongHorizon, ManyWindowsWithChurnAndAdversary) {
     ASSERT_TRUE(report.ok) << "window " << w;
     adv.ObserveWindow();
     EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), f1) << "window " << w;
-    if (w == 1 || w == 2) EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(2)), f2);
+    if (w == 1 || w == 2) {
+      EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(2)), f2);
+    }
   }
   // The adversary touched every host at least once yet never breached.
   EXPECT_FALSE(adv.AttemptReconstruction(1).has_value());

@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "field/fp.h"
 #include "field/primes.h"
+#include "obs/registry.h"
 
 namespace pisces::field {
 namespace {
@@ -173,17 +174,17 @@ TEST_P(FieldKernelTest, DotPerformsExactlyOneReductionPerOutput) {
     a.push_back(fast_.Random(rng_));
     b.push_back(fast_.Random(rng_));
   }
-  KernelStatsSnapshot before = GetKernelStats();
+  const obs::Snapshot before = obs::TakeSnapshot();
   FpElem r = fast_.Dot(a, b);
-  KernelStatsSnapshot after = GetKernelStats();
+  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
   EXPECT_FALSE(fast_.IsZero(r));  // overwhelming probability
-  EXPECT_EQ(after.dot_calls - before.dot_calls, 1u);
-  EXPECT_EQ(after.dot_products - before.dot_products, a.size());
-  EXPECT_EQ(after.dot_reductions - before.dot_reductions, 1u);
+  EXPECT_EQ(obs::Value(delta, "field.dot_calls"), 1u);
+  EXPECT_EQ(obs::Value(delta, "field.dot_products"), a.size());
+  EXPECT_EQ(obs::Value(delta, "field.dot_reductions"), 1u);
 #ifndef NDEBUG
   // Debug builds also count Montgomery multiplies: the whole dot pays
   // exactly ONE (the 2^64 fixup) instead of one reduction per product.
-  EXPECT_EQ(after.mont_muls - before.mont_muls, 1u);
+  EXPECT_EQ(obs::Value(delta, "field.mont_muls"), 1u);
 #endif
 }
 

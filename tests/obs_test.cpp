@@ -154,7 +154,9 @@ TEST(Trace, JsonParsesAndSpansNest) {
 
   // Pool chunk spans parent under protocol spans, never float free.
   for (const auto& e : evs) {
-    if (e.cat == "pool") EXPECT_NE(e.parent, 0u) << "orphan pool chunk";
+    if (e.cat == "pool") {
+      EXPECT_NE(e.parent, 0u) << "orphan pool chunk";
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include "field/primes.h"
 #include "math/poly.h"
 #include "math/poly_engine.h"
+#include "obs/registry.h"
 
 namespace pisces::math {
 namespace {
@@ -77,28 +78,6 @@ TEST(PolyEngine, MulMatchesNaiveConvolutionAcrossPrimes) {
   auto a = RandomElems(ctx, rng, 5);
   EXPECT_TRUE(MulPolys(ctx, a, {}).empty());
   EXPECT_TRUE(MulPolys(ctx, {}, a).empty());
-}
-
-TEST(PolyEngine, EvalAllMatchesHornerAcrossPrimes) {
-  for (std::size_t bits : kPrimeBits) {
-    FpCtx ctx(field::StandardPrimeBe(bits));
-    Rng rng(bits + 1);
-    // Crossover-boundary and non-power-of-two domain sizes; polynomial both
-    // shorter and longer than the domain (the latter exercises the
-    // reduce-dividend-first path).
-    for (std::size_t n : {2u, 8u, 16u, 17u, 33u, 64u}) {
-      auto xs = DomainPoints(ctx, n);
-      SubproductTree tree(ctx, xs);
-      for (std::size_t deg :
-           {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n + 5}) {
-        Poly f = Poly::Random(ctx, rng, deg);
-        std::vector<FpElem> expect;
-        for (const FpElem& x : xs) expect.push_back(f.Eval(ctx, x));
-        EXPECT_EQ(tree.EvalAll(f.coeffs()), expect)
-            << bits << "-bit, n=" << n << ", deg=" << deg;
-      }
-    }
-  }
 }
 
 TEST(PolyEngine, InterpolateMatchesLagrangeOracleAcrossPrimes) {
@@ -168,14 +147,14 @@ TEST(PolyEngine, DuplicatePointsRejected) {
 TEST(PolyEngine, DomainCacheHitsMissesAndClear) {
   FpCtx ctx(field::StandardPrimeBe(256));
   ClearPolyDomainCache();
-  ResetPolyEngineStats();
+  const obs::Snapshot before = obs::TakeSnapshot();
   auto xs = DomainPoints(ctx, 20);
   auto a = CachedSubproductTree(ctx, xs);
   auto b = CachedSubproductTree(ctx, xs);
   EXPECT_EQ(a.get(), b.get());  // second lookup reuses the built tree
-  PolyEngineStats st = GetPolyEngineStats();
-  EXPECT_EQ(st.domain_misses, 1u);
-  EXPECT_GE(st.domain_hits, 1u);
+  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
+  EXPECT_EQ(obs::Value(delta, "math.pd_misses"), 1u);
+  EXPECT_GE(obs::Value(delta, "math.pd_hits"), 1u);
   EXPECT_GE(PolyDomainCacheSize(), 1u);
   ClearPolyDomainCache();
   EXPECT_EQ(PolyDomainCacheSize(), 0u);
@@ -203,7 +182,7 @@ TEST(PolyEngine, TreeBuildEvalInterpBitIdenticalAcrossPoolSizes) {
     GlobalPool().ParallelFor(0, ys.size(), [&](std::size_t i) {
       auto tree = CachedSubproductTree(ctx, xs);
       coeffs[i] = tree->Interpolate(ys[i]);
-      evals[i] = tree->EvalAll(coeffs[i]);
+      evals[i] = EvalMany(ctx, coeffs[i], xs);
     });
     return std::pair{coeffs, evals};
   };

@@ -2,7 +2,6 @@
 // every substrate the protocol stack can run on.
 //
 //  * SimEndpoint/SimNet -- the deterministic testing substrate;
-//  * TcpEndpoint        -- the synchronous loopback transport;
 //  * AsyncTcpEndpoint   -- the supervised deployment transport.
 //
 // The contract the host/client/coordinator layers actually rely on:
@@ -18,25 +17,26 @@
 //     (counted) instead of buffering unboundedly, and drains completely once
 //     the receiver resumes. Only the async transport implements explicit
 //     backpressure (SimNet mailboxes are unbounded by design -- determinism
-//     outranks memory bounds in tests; sync TCP delegates to kernel socket
-//     buffers), so fabrics advertise the capability.
+//     outranks memory bounds in tests), so fabrics advertise the capability;
+//  5. framing: a 1 MiB payload arrives intact, and in an all-to-all mesh
+//     every endpoint hears from every other one.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "net/async_tcp.h"
 #include "net/sim_transport.h"
-#include "net/tcp_transport.h"
 
 namespace pisces::net {
 namespace {
 
 std::uint16_t BasePort() {
-  // Offset +200 keeps clear of tcp_test.cpp and async_tcp_test.cpp ranges.
+  // Offset +200 keeps clear of async_tcp_test.cpp's range.
   return static_cast<std::uint16_t>(40200 + (::getpid() % 2000) * 10);
 }
 
@@ -49,7 +49,8 @@ Message Make(std::uint32_t from, std::uint32_t to, Bytes payload) {
   return m;
 }
 
-// One fabric = two endpoints (ids 1 and 2) over one substrate.
+// One fabric = `count` endpoints (ids 1..count) over one substrate, every
+// pair of them peered.
 class Fabric {
  public:
   virtual ~Fabric() = default;
@@ -63,9 +64,10 @@ class Fabric {
 
 class SimFabric : public Fabric {
  public:
-  SimFabric() {
-    eps_[0] = net_.AddEndpoint(1);
-    eps_[1] = net_.AddEndpoint(2);
+  explicit SimFabric(std::uint32_t count) {
+    for (std::uint32_t id = 1; id <= count; ++id) {
+      eps_.push_back(net_.AddEndpoint(id));
+    }
   }
   const char* name() const override { return "sim"; }
   void Send(std::uint32_t from, std::uint32_t to, Bytes payload) override {
@@ -83,45 +85,18 @@ class SimFabric : public Fabric {
 
  private:
   SimNet net_;
-  SimEndpoint* eps_[2];
-};
-
-class SyncTcpFabric : public Fabric {
- public:
-  explicit SyncTcpFabric(std::uint16_t base) : base_(base) {
-    for (std::uint32_t id : {1u, 2u}) Boot(id);
-  }
-  const char* name() const override { return "sync-tcp"; }
-  void Send(std::uint32_t from, std::uint32_t to, Bytes payload) override {
-    eps_[from - 1]->Send(Make(from, to, std::move(payload)));
-  }
-  std::optional<Message> Recv(std::uint32_t at, int timeout_ms) override {
-    return eps_[at - 1]->ReceiveWait(timeout_ms);
-  }
-  void Restart(std::uint32_t at) override {
-    eps_[at - 1].reset();
-    Boot(at);
-  }
-
- private:
-  void Boot(std::uint32_t id) {
-    eps_[id - 1] = std::make_unique<TcpEndpoint>(
-        id, static_cast<std::uint16_t>(base_ + id));
-    const std::uint32_t other = 3 - id;
-    eps_[id - 1]->AddPeer(other, static_cast<std::uint16_t>(base_ + other));
-  }
-  std::uint16_t base_;
-  std::unique_ptr<TcpEndpoint> eps_[2];
+  std::vector<SimEndpoint*> eps_;
 };
 
 class AsyncTcpFabric : public Fabric {
  public:
-  explicit AsyncTcpFabric(std::uint16_t base, std::size_t send_cap = 32u << 20,
-                          std::size_t recv_cap = 64u << 20,
-                          std::uint64_t stall_ms = 10'000)
+  AsyncTcpFabric(std::uint16_t base, std::uint32_t count,
+                 std::size_t send_cap = 32u << 20,
+                 std::size_t recv_cap = 64u << 20,
+                 std::uint64_t stall_ms = 10'000)
       : base_(base), send_cap_(send_cap), recv_cap_(recv_cap),
-        stall_ms_(stall_ms) {
-    for (std::uint32_t id : {1u, 2u}) Boot(id);
+        stall_ms_(stall_ms), eps_(count) {
+    for (std::uint32_t id = 1; id <= count; ++id) Boot(id);
   }
   const char* name() const override { return "async-tcp"; }
   void Send(std::uint32_t from, std::uint32_t to, Bytes payload) override {
@@ -149,29 +124,37 @@ class AsyncTcpFabric : public Fabric {
     o.recv_queue_cap_bytes = recv_cap_;
     o.backpressure_stall_ms = stall_ms_;
     eps_[id - 1] = std::make_unique<AsyncTcpEndpoint>(o);
-    const std::uint32_t other = 3 - id;
-    eps_[id - 1]->AddPeer(other, static_cast<std::uint16_t>(base_ + other));
+    for (std::uint32_t other = 1; other <= eps_.size(); ++other) {
+      if (other == id) continue;
+      eps_[id - 1]->AddPeer(other, static_cast<std::uint16_t>(base_ + other));
+    }
   }
   std::uint16_t base_;
   std::size_t send_cap_, recv_cap_;
   std::uint64_t stall_ms_;
-  std::unique_ptr<AsyncTcpEndpoint> eps_[2];
+  std::vector<std::unique_ptr<AsyncTcpEndpoint>> eps_;
 };
 
-// Fabric factories, so each check gets a fresh substrate on fresh ports.
-using Factory = std::function<std::unique_ptr<Fabric>(std::uint16_t base)>;
+// Fabric factories, so each check gets a fresh substrate on fresh ports
+// (an AsyncTcpFabric of `count` endpoints listens on base+1 .. base+count).
+using Factory =
+    std::function<std::unique_ptr<Fabric>(std::uint16_t base,
+                                          std::uint32_t count)>;
 std::vector<Factory> AllFabrics() {
   return {
-      [](std::uint16_t) { return std::make_unique<SimFabric>(); },
-      [](std::uint16_t base) { return std::make_unique<SyncTcpFabric>(base); },
-      [](std::uint16_t base) { return std::make_unique<AsyncTcpFabric>(base); },
+      [](std::uint16_t, std::uint32_t count) {
+        return std::make_unique<SimFabric>(count);
+      },
+      [](std::uint16_t base, std::uint32_t count) {
+        return std::make_unique<AsyncTcpFabric>(base, count);
+      },
   };
 }
 
 TEST(TransportConformance, PerLinkOrdering) {
   std::uint16_t base = BasePort();
   for (const auto& make : AllFabrics()) {
-    auto f = make(base);
+    auto f = make(base, 2);
     base = static_cast<std::uint16_t>(base + 3);
     SCOPED_TRACE(f->name());
     for (std::uint8_t i = 0; i < 30; ++i) f->Send(1, 2, Bytes{i});
@@ -192,7 +175,7 @@ TEST(TransportConformance, PerLinkOrdering) {
 TEST(TransportConformance, TimeoutOnSilentLink) {
   std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 20);
   for (const auto& make : AllFabrics()) {
-    auto f = make(base);
+    auto f = make(base, 2);
     base = static_cast<std::uint16_t>(base + 3);
     SCOPED_TRACE(f->name());
     EXPECT_FALSE(f->Recv(1, 50).has_value());
@@ -203,7 +186,7 @@ TEST(TransportConformance, TimeoutOnSilentLink) {
 TEST(TransportConformance, ReconnectAfterRestart) {
   std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 40);
   for (const auto& make : AllFabrics()) {
-    auto f = make(base);
+    auto f = make(base, 2);
     base = static_cast<std::uint16_t>(base + 3);
     SCOPED_TRACE(f->name());
 
@@ -240,7 +223,7 @@ TEST(TransportConformance, BackpressureStallsAndResumes) {
   // few hundred KiB (autotuning only grows them for a *reading* app), so the
   // sender must hit its queue cap and stall. The 30 s stall budget is never
   // reached -- the drainer resumes long before.
-  auto f = std::make_unique<AsyncTcpFabric>(base, 256 * 1024, 64 * 1024,
+  auto f = std::make_unique<AsyncTcpFabric>(base, 2, 256 * 1024, 64 * 1024,
                                             30'000);
   ASSERT_TRUE(f->HasBackpressure());
 
@@ -260,6 +243,50 @@ TEST(TransportConformance, BackpressureStallsAndResumes) {
 
   EXPECT_GE(f->ep(1).backpressure_stalls(), 1u);  // it did stall...
   EXPECT_EQ(f->ep(1).frames_dropped(), 0u);       // ...but dropped nothing
+}
+
+TEST(TransportConformance, LargePayloadRoundTrip) {
+  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 80);
+  Bytes big(1 << 20);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  for (const auto& make : AllFabrics()) {
+    auto f = make(base, 2);
+    base = static_cast<std::uint16_t>(base + 3);
+    SCOPED_TRACE(f->name());
+    f->Send(1, 2, big);
+    auto m = f->Recv(2, 5000);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->from, 1u);
+    EXPECT_EQ(m->payload, big);
+  }
+}
+
+TEST(TransportConformance, AllToAllMeshOfFour) {
+  constexpr std::uint32_t kEndpoints = 4;
+  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 90);
+  for (const auto& make : AllFabrics()) {
+    auto f = make(base, kEndpoints);
+    base = static_cast<std::uint16_t>(base + kEndpoints + 1);
+    SCOPED_TRACE(f->name());
+    for (std::uint32_t i = 1; i <= kEndpoints; ++i) {
+      for (std::uint32_t j = 1; j <= kEndpoints; ++j) {
+        if (i != j) f->Send(i, j, Bytes{static_cast<std::uint8_t>(i)});
+      }
+    }
+    for (std::uint32_t j = 1; j <= kEndpoints; ++j) {
+      std::set<std::uint32_t> senders;
+      for (std::uint32_t k = 0; k + 1 < kEndpoints; ++k) {
+        auto m = f->Recv(j, 3000);
+        ASSERT_TRUE(m.has_value()) << "endpoint " << j;
+        EXPECT_EQ(m->payload[0], m->from);
+        senders.insert(m->from);
+      }
+      EXPECT_EQ(senders.size(), kEndpoints - 1) << "endpoint " << j;
+      EXPECT_FALSE(f->Recv(j, 50).has_value()) << "endpoint " << j;
+    }
+  }
 }
 
 }  // namespace
