@@ -23,7 +23,9 @@
 # has the same benches -- both sets run on both binaries in alternating rounds
 # (the one on a shared host is never measured in a quieter phase than the
 # other), and each entry gains that binary's figure as before_ns and the
-# speedup.
+# speedup. Every round figure is the median over a binary's rounds with its
+# quartiles beside it (*_q1_ns, *_q3_ns), as bench_serving.sh reports: one
+# round that lands in a quiet phase cannot set the figure for the whole file.
 #
 # Usage: scripts/bench_micro.sh [build-dir] [before-build-dir]
 #        (default build dir: build-rel)
@@ -68,8 +70,8 @@ fi
 
 # Short crypto, share-generation and domain-build rounds (0.1 s per benchmark),
 # alternating which binary goes first: the host's contention phases last
-# under a second, so both binaries sample the same mix of them. The min
-# across all rounds of a binary is its figure.
+# under a second, so both binaries sample the same mix of them. Each round
+# gives one sample per benchmark; the median over rounds is the figure.
 round_run() {  # <binary dir> <raw output>
   "$1/bench/micro_field_ops" \
     --benchmark_filter="$ROUND_FILTER" \
@@ -92,6 +94,7 @@ python3 - "$RAW_FIELD_JSON" "$RAW_POLY_JSON" "$OUT_JSON" "$BUILD_DIR" <<'EOF'
 import glob
 import json
 import os
+import statistics
 import sys
 
 field_path, poly_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -141,6 +144,7 @@ result = {
     "benchmark": "micro_field_ops",
     "dot_length": 32,
     "unit": "ns_min_of_reps",
+    "round_unit": "ns_median_and_quartiles_over_rounds",
     "context": raw_field.get("context", {}),
     "sizes": {},
     "poly": {},
@@ -165,21 +169,31 @@ for g in sizes:
         "dot_speedup": ratio(dot_naive, dot),
     }
 
-# Cert and channel crypto, keyed by the full benchmark name (e.g.
-# "BM_PowBytes/512", "BM_SchnorrVerify"); min across every repetition of
-# every round, as above.
-def min_by_name(raws):
+# Round benches, keyed by the full benchmark name (e.g. "BM_PowBytes/512",
+# "BM_SchnorrVerify"): every round's sample, in round order.
+def samples_by_name(raws):
     out = {}
     for raw in raws:
         for b in raw["benchmarks"]:
             if b.get("run_type") != "iteration":
                 continue
-            name = b["run_name"]
-            out[name] = min(out.get(name, float("inf")), b["real_time"])
+            out.setdefault(b["run_name"], []).append(b["real_time"])
     return out
 
-after = min_by_name(raw_after)
-before = min_by_name(raw_before)
+after = samples_by_name(raw_after)
+before = samples_by_name(raw_before)
+
+def put_rounds(entry, key, samples):
+    """Writes the median and quartiles of `samples` as key_ns, key_q1_ns and
+    key_q3_ns; returns the median."""
+    if len(samples) > 1:
+        q1, med, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    else:
+        q1 = med = q3 = samples[0]
+    entry[f"{key}_ns"] = med
+    entry[f"{key}_q1_ns"] = q1
+    entry[f"{key}_q3_ns"] = q3
+    return med
 
 # Polynomial engine (256-bit field, domain size n): subproduct-tree
 # interpolation vs the Lagrange oracle, batch inversion, and the tree build
@@ -191,12 +205,12 @@ for n in sorted(ns.get("BM_PolyInterpTree", {})):
         "interp_lagrange_ns": ns["BM_PolyInterpLagrange"][n],
         "interp_speedup": ratio(ns["BM_PolyInterpLagrange"][n],
                                 ns["BM_PolyInterpTree"][n]),
-        "domain_build_ns": after[build],
         "batchinv_ns": ns["BM_BatchInv"][n],
     }
+    med = put_rounds(entry, "domain_build", after[build])
     if build in before:
-        entry["domain_build_before_ns"] = before[build]
-        entry["domain_build_speedup"] = ratio(before[build], after[build])
+        med_before = put_rounds(entry, "domain_build_before", before[build])
+        entry["domain_build_speedup"] = ratio(med_before, med)
     result["poly"][str(n)] = entry
 
 result["crypto"] = {}
@@ -204,10 +218,11 @@ result["pss"] = {}
 for name in sorted(after):
     if name.startswith("BM_PolyDomainBuild"):
         continue
-    entry = {"after_ns": after[name]}
+    entry = {}
+    med = put_rounds(entry, "after", after[name])
     if name in before:
-        entry["before_ns"] = before[name]
-        entry["speedup"] = ratio(before[name], after[name])
+        entry["speedup"] = ratio(put_rounds(entry, "before", before[name]),
+                                 med)
     section = "pss" if name.startswith("BM_ShareBlocks") else "crypto"
     result[section][name] = entry
 

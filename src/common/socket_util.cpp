@@ -101,6 +101,14 @@ int ListenLoopback(std::uint16_t port) {
   return fd;
 }
 
+std::uint16_t LocalPort(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  Require(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
+          "LocalPort: getsockname failed");
+  return ntohs(addr.sin_port);
+}
+
 int ConnectLoopback(std::uint16_t port, bool nonblocking) {
   IgnoreSigpipe();
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);

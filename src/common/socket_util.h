@@ -41,6 +41,8 @@ void SetNoDelay(int fd);
 // Creates a loopback TCP listener on `port` (SO_REUSEADDR, backlog 64).
 // Returns the listening fd; throws Error on failure.
 int ListenLoopback(std::uint16_t port);
+// The local port `fd` is bound to (getsockname), e.g. after binding port 0.
+std::uint16_t LocalPort(int fd);
 
 // Creates a socket and starts a connect to 127.0.0.1:port. With
 // `nonblocking`, returns the fd with the connect possibly still in flight

@@ -53,6 +53,7 @@ AsyncTcpEndpoint::AsyncTcpEndpoint(AsyncTcpOptions opts)
   IgnoreSigpipe();
   Counters();  // register aggregates before the first snapshot
   listen_fd_ = ListenLoopback(opts_.listen_port);
+  opts_.listen_port = LocalPort(listen_fd_);  // resolves a requested port 0
   SetNonBlocking(listen_fd_, true);
   // Pre-thread-start: the reactor is not running yet, so touching the loop
   // from this thread is safe.

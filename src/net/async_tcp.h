@@ -2,8 +2,8 @@
 // endpoint, non-blocking length-framed I/O, bounded queues with end-to-end
 // backpressure, and per-peer connection supervision.
 //
-// This is the only real-network transport: pisces_hostd, the multiprocess
-// coordinator (docs/deployment.md), the serving gateway and the tcp_cluster
+// This is the only real-network transport: pisces_hostd, the hypervisor's
+// ProcessFleet (docs/deployment.md), the serving gateway and the tcp_cluster
 // example all run on it. It and the deterministic SimEndpoint (the testing
 // substrate) pass the same transport-conformance suite.
 //
@@ -59,7 +59,7 @@ inline constexpr std::uint32_t kHeartbeatFrameLen = 4;
 
 struct AsyncTcpOptions {
   std::uint32_t id = 0;
-  std::uint16_t listen_port = 0;
+  std::uint16_t listen_port = 0;  // 0: an OS-chosen port, see listen_port()
   std::uint64_t seed = 1;  // reconnect jitter stream
   std::uint64_t heartbeat_interval_ms = 250;
   std::uint32_t heartbeat_miss_limit = 8;
@@ -91,6 +91,9 @@ class AsyncTcpEndpoint : public Transport {
   // callers waiting on a specific response count expiries themselves.
   std::optional<Message> ReceiveWait(int timeout_ms);
   std::uint32_t id() const override { return opts_.id; }
+  // The port this endpoint listens on (the OS-chosen one when the options
+  // asked for port 0).
+  std::uint16_t listen_port() const { return opts_.listen_port; }
 
   // Whether `peer` was heard from (message or heartbeat) within the
   // supervision window. Unknown peers are unhealthy.

@@ -41,8 +41,9 @@ enum class MsgType : std::uint8_t {
 
   // Process-per-host control plane (docs/deployment.md). In-process clusters
   // never emit these: the hypervisor drives its hosts by direct privileged
-  // calls. In a multiprocess deployment the same lifecycle operations travel
-  // the wire between the coordinator and each pisces_hostd process.
+  // calls. In a process-per-host deployment the same lifecycle operations
+  // travel the wire between the hypervisor's ProcessFleet and each
+  // pisces_hostd process.
   kBootHost,       // hypervisor -> hostd: boot material (cert, sk, directory)
   kHaltHost,       // hypervisor -> hostd: secure disassociation (wipe state)
   kStatusRequest,  // hypervisor -> hostd: report status

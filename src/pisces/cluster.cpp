@@ -87,7 +87,7 @@ FileMeta Cluster::Upload(std::uint64_t file_id,
   // stored it and the missing set stays within the corruption bound.
   std::size_t reachable = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (hypervisor_->host(i).online() && !net_->IsOffline(i)) ++reachable;
+    if (host(i).online() && !net_->IsOffline(i)) ++reachable;
   }
   const std::size_t acks = client_->UploadAcks(file_id);
   Require(acks >= reachable && acks + cfg_.params.t >= n,
@@ -165,14 +165,14 @@ void Cluster::ArmByzantine(const ByzantinePlan& plan) {
   // Cover every physical slot, not just the current n: after a shrink the
   // parked hosts outlive the group shape, and a later grow revives them --
   // they must never come back holding an actor from a destroyed engine.
-  for (std::uint32_t i = 0; i < hypervisor_->host_slots(); ++i) {
-    hypervisor_->host(i).ArmByzantine(byzantine_->ActorFor(i));
+  for (std::uint32_t i = 0; i < hypervisor_->local_fleet()->slots(); ++i) {
+    host(i).ArmByzantine(byzantine_->ActorFor(i));
   }
 }
 
 void Cluster::DisarmByzantine() {
-  for (std::uint32_t i = 0; i < hypervisor_->host_slots(); ++i) {
-    hypervisor_->host(i).ArmByzantine(nullptr);
+  for (std::uint32_t i = 0; i < hypervisor_->local_fleet()->slots(); ++i) {
+    host(i).ArmByzantine(nullptr);
   }
   byzantine_.reset();
 }
@@ -187,18 +187,14 @@ CostModel Cluster::cost_model() const {
 HostMetrics Cluster::TotalMetrics() const {
   HostMetrics total;
   for (std::size_t i = 0; i < cfg_.params.n; ++i) {
-    const HostMetrics& m = hypervisor_->host(i).metrics();
-    total.rerandomize.Add(m.rerandomize);
-    total.recover.Add(m.recover);
-    total.serve.Add(m.serve);
-    total.faults.Add(m.faults);
+    total.Add(hypervisor_->local_fleet()->host(i).metrics());
   }
   return total;
 }
 
 void Cluster::ResetMetrics() {
   for (std::size_t i = 0; i < cfg_.params.n; ++i) {
-    hypervisor_->host(i).metrics().Reset();
+    host(i).metrics().Reset();
   }
 }
 

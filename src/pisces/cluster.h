@@ -81,7 +81,7 @@ class Cluster {
   std::shared_ptr<const field::FpCtx> ctx_ptr() const { return ctx_; }
   Hypervisor& hypervisor() { return *hypervisor_; }
   Client& client() { return *client_; }
-  Host& host(std::size_t i) { return hypervisor_->host(i); }
+  Host& host(std::size_t i) { return hypervisor_->local_fleet()->host(i); }
   net::SimNet& net() { return *net_; }
   net::SyncNetwork& sync() { return *sync_; }
   const Deployment& deployment() const { return deployment_; }

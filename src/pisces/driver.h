@@ -84,8 +84,9 @@ struct ExperimentResult {
 
   // Deployment-plane network counters for the window, read as registry
   // deltas over the net.* namespace. All zero on the SimNet substrate (the
-  // async transport owns these counters); nonzero when the experiment runs
-  // against real sockets in the same process.
+  // async transport and the ProcessFleet own these counters; deadline
+  // expiries are the ProcessFleet's bounded-delay waits that fired); nonzero
+  // when the window drives real sockets in the same process.
   std::uint64_t net_reconnects = 0;
   std::uint64_t net_heartbeat_misses = 0;
   std::uint64_t net_deadline_expiries = 0;

@@ -1097,9 +1097,10 @@ void Host::ReplayPending() {
   }
 }
 
-std::vector<Host::StuckRefresh> Host::StuckRefreshSessions() const {
-  std::vector<StuckRefresh> out;
+Host::SweepResult Host::Sweep(std::uint32_t seq) {
+  SweepResult out;
   for (const auto& [key, s] : refresh_) {
+    if (key.second != seq) continue;
     StuckRefresh info;
     info.file_id = key.first;
     info.epoch = key.second;
@@ -1109,15 +1110,10 @@ std::vector<Host::StuckRefresh> Host::StuckRefreshSessions() const {
         info.missing_dealers.push_back(holders[i]);
       }
     }
-    info.waiting_verdicts = info.missing_dealers.empty();
-    out.push_back(std::move(info));
+    out.refresh.push_back(std::move(info));
   }
-  return out;
-}
-
-std::vector<Host::StuckRecovery> Host::StuckRecoverySessions() const {
-  std::vector<StuckRecovery> out;
   for (const auto& [key, s] : survivor_) {
+    if (std::get<1>(key) != seq) continue;
     StuckRecovery info;
     info.file_id = std::get<0>(key);
     info.epoch = std::get<1>(key);
@@ -1130,9 +1126,10 @@ std::vector<Host::StuckRecovery> Host::StuckRecoverySessions() const {
         }
       }
     }
-    out.push_back(std::move(info));
+    out.recovery.push_back(std::move(info));
   }
   for (const auto& [key, s] : target_) {
+    if (key.second != seq) continue;
     StuckRecovery info;
     info.file_id = key.first;
     info.epoch = key.second;
@@ -1142,18 +1139,19 @@ std::vector<Host::StuckRecovery> Host::StuckRecoverySessions() const {
         info.missing_senders.push_back(sv);
       }
     }
-    out.push_back(std::move(info));
+    out.recovery.push_back(std::move(info));
   }
+  for (auto it = failed_refresh_.begin(); it != failed_refresh_.end();) {
+    if (it->first.second != seq) {
+      ++it;
+      continue;
+    }
+    out.failed.emplace(it->first.first, std::move(it->second));
+    it = failed_refresh_.erase(it);
+  }
+  out.active = HasActiveSessions();
+  out.aborted = AbortStuckSessions();
   return out;
-}
-
-std::optional<Host::FailedRefresh> Host::TakeFailedRefresh(
-    std::uint64_t file_id, std::uint32_t epoch) {
-  auto it = failed_refresh_.find({file_id, epoch});
-  if (it == failed_refresh_.end()) return std::nullopt;
-  FailedRefresh fr = std::move(it->second);
-  failed_refresh_.erase(it);
-  return fr;
 }
 
 std::vector<std::string> Host::AbortStuckSessions() {

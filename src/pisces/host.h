@@ -83,20 +83,16 @@ class Host : public net::MessageHandler {
   bool HasActiveSessions() const;
 
   // --- dealer-exclusion diagnostics (privileged hypervisor calls) ---
-  // Snapshot of a refresh session wedged at the bounded-delay timeout: which
-  // dealers' dealings never arrived. Call before AbortStuckSessions.
+  // A refresh session wedged at the bounded-delay timeout: which dealers'
+  // dealings never arrived.
   struct StuckRefresh {
     std::uint64_t file_id = 0;
     std::uint32_t epoch = 0;  // hypervisor op sequence
     std::vector<std::uint32_t> missing_dealers;
-    bool waiting_verdicts = false;  // all deals arrived; stuck later
   };
-  std::vector<StuckRefresh> StuckRefreshSessions() const;
-
-  // Same idea for recovery sessions wedged at the bounded-delay timeout:
-  // which survivors' mask dealings never arrived (survivor side) and which
-  // survivors' masked shares never arrived (target side). The hypervisor
-  // applies the dealer-exclusion strike rule to both.
+  // Same idea for recovery sessions: which survivors' mask dealings never
+  // arrived (survivor side) and which survivors' masked shares never arrived
+  // (target side). The hypervisor applies the dealer strike rule to both.
   struct StuckRecovery {
     std::uint64_t file_id = 0;
     std::uint32_t epoch = 0;  // hypervisor op sequence
@@ -104,7 +100,28 @@ class Host : public net::MessageHandler {
     std::vector<std::uint32_t> missing_dealers;  // survivor-session view
     std::vector<std::uint32_t> missing_senders;  // target-session view
   };
-  std::vector<StuckRecovery> StuckRecoverySessions() const;
+  // Raw dealing columns of a refresh session that failed hyperinvertible
+  // verification, archived so the hypervisor can attribute the corrupt
+  // dealer: deals_by_dealer[i][g] is the value this host received from
+  // participants[i] for group g.
+  struct FailedRefresh {
+    std::vector<std::uint32_t> participants;
+    std::vector<std::vector<field::FpElem>> deals_by_dealer;
+    std::vector<bool> deal_seen;
+  };
+  // What Sweep found before it aborted: the stuck sessions and failed-refresh
+  // archives of hypervisor op `seq` (the archives are consumed), whether any
+  // session was still live, and AbortStuckSessions' descriptions.
+  struct SweepResult {
+    std::vector<StuckRefresh> refresh;
+    std::vector<StuckRecovery> recovery;
+    std::map<std::uint64_t, FailedRefresh> failed;  // by file id
+    bool active = false;
+    std::vector<std::string> aborted;
+  };
+  // The post-round cleanup the hypervisor runs on every host after a round
+  // quiesced: snapshot, then abort everything stuck.
+  SweepResult Sweep(std::uint32_t seq);
 
   // Arms (or disarms, with nullptr) the active-adversary hooks: a non-null
   // actor makes this host cheat per its ByzantineStrategy. Stored state stays
@@ -112,18 +129,6 @@ class Host : public net::MessageHandler {
   // armed every code path is a null-pointer check away from the honest
   // build (the armed-vs-unarmed differential test pins this down).
   void ArmByzantine(ByzantineActor* actor) { byz_ = actor; }
-
-  // Raw dealing columns of a refresh session that failed hyperinvertible
-  // verification, archived so the hypervisor can attribute the corrupt
-  // dealer: deals_by_dealer[i][g] is the value this host received from
-  // participants[i] for group g. Consumed (erased) by the call.
-  struct FailedRefresh {
-    std::vector<std::uint32_t> participants;
-    std::vector<std::vector<field::FpElem>> deals_by_dealer;
-    std::vector<bool> deal_seen;
-  };
-  std::optional<FailedRefresh> TakeFailedRefresh(std::uint64_t file_id,
-                                                 std::uint32_t epoch);
 
   // --- resharing (privileged hypervisor calls; docs/resharding.md) ---
   // Computes this host's masked reshare contribution toward the new group

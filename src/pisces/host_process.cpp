@@ -1,72 +1,10 @@
 #include "pisces/host_process.h"
 
-#include "common/clock.h"
 #include "common/error.h"
 #include "common/log.h"
 #include "field/primes.h"
 
 namespace pisces {
-
-namespace {
-constexpr std::uint64_t kAnnounceIntervalMs = 200;
-}
-
-// ---- wire formats ----------------------------------------------------------
-
-Bytes BootMaterial::Serialize() const {
-  ByteWriter w;
-  w.Blob(ca_pk);
-  w.U32(epoch);
-  w.Blob(cert.Serialize());
-  w.Blob(sk);
-  w.U32(static_cast<std::uint32_t>(peers.size()));
-  for (std::uint32_t p : peers) w.U32(p);
-  w.U32(static_cast<std::uint32_t>(directory.size()));
-  for (const auto& c : directory) w.Blob(c.Serialize());
-  return w.Take();
-}
-
-BootMaterial BootMaterial::Deserialize(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  BootMaterial b;
-  const auto ca_pk = r.Blob();
-  b.ca_pk.assign(ca_pk.begin(), ca_pk.end());
-  b.epoch = r.U32();
-  b.cert = crypto::HostCert::Deserialize(r.Blob());
-  const auto sk = r.Blob();
-  b.sk.assign(sk.begin(), sk.end());
-  const std::uint32_t np = r.U32();
-  b.peers.reserve(np);
-  for (std::uint32_t i = 0; i < np; ++i) b.peers.push_back(r.U32());
-  const std::uint32_t nc = r.U32();
-  b.directory.reserve(nc);
-  for (std::uint32_t i = 0; i < nc; ++i) {
-    b.directory.push_back(crypto::HostCert::Deserialize(r.Blob()));
-  }
-  Require(r.AtEnd(), "BootMaterial: trailing bytes");
-  return b;
-}
-
-Bytes HostStatus::Serialize() const {
-  ByteWriter w;
-  w.U8(online ? 1 : 0);
-  w.U32(epoch);
-  w.U32(static_cast<std::uint32_t>(files.size()));
-  for (std::uint64_t f : files) w.U64(f);
-  return w.Take();
-}
-
-HostStatus HostStatus::Deserialize(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  HostStatus s;
-  s.online = r.U8() != 0;
-  s.epoch = r.U32();
-  const std::uint32_t nf = r.U32();
-  s.files.reserve(nf);
-  for (std::uint32_t i = 0; i < nf; ++i) s.files.push_back(r.U64());
-  Require(r.AtEnd(), "HostStatus: trailing bytes");
-  return s;
-}
 
 // ---- HostProcess -----------------------------------------------------------
 
@@ -91,17 +29,14 @@ HostProcess::HostProcess(MpConfig cfg, std::uint32_t id)
 }
 
 void HostProcess::Serve() {
-  std::uint64_t next_announce = 0;
-  while (running_) {
-    const std::uint64_t now = MonotonicNanos() / 1'000'000;
-    const bool booted = host_ != nullptr && host_->online();
-    if (!booted && now >= next_announce) {
-      SendStatus(0);  // "I exist and need boot material"
-      next_announce = now + kAnnounceIntervalMs;
-    }
+  for (;;) {
     auto msg = endpoint_->ReceiveWait(50);
     if (msg) HandleMessage(*msg);
   }
+}
+
+void HostProcess::Drain() {
+  while (auto msg = endpoint_->Receive()) HandleMessage(*msg);
 }
 
 void HostProcess::HandleMessage(const net::Message& msg) {
@@ -125,12 +60,12 @@ void HostProcess::HandleMessage(const net::Message& msg) {
       case net::MsgType::kAbortStuck: {
         Require(msg.from == net::kHypervisorId,
                 "AbortStuck: not from the hypervisor");
-        if (host_ != nullptr) {
-          for (const auto& what : host_->AbortStuckSessions()) {
-            LogWarn() << "hostd " << id_ << ": aborted stuck session: " << what;
-          }
+        Host::SweepResult swept;
+        if (host_ != nullptr) swept = host_->Sweep(msg.epoch);
+        for (const auto& what : swept.aborted) {
+          LogWarn() << "hostd " << id_ << ": aborted stuck session: " << what;
         }
-        SendStatus(msg.row);  // ack so the coordinator knows the slate is clean
+        Reply(msg.row, SerializeSweep(*ctx_, swept));
         return;
       }
       default:
@@ -178,20 +113,27 @@ void HostProcess::OnHaltHost(const net::Message& msg) {
   SendStatus(msg.row);  // halt ack (reports online=false)
 }
 
-void HostProcess::SendStatus(std::uint32_t echo_row) {
-  HostStatus s;
-  if (host_ != nullptr && host_->online()) {
-    s.online = true;
-    s.epoch = host_->epoch();
-    s.files = host_->store().FileIds();
-  }
+void HostProcess::Reply(std::uint32_t echo_row, Bytes payload) {
   net::Message m;
   m.from = id_;
   m.to = net::kHypervisorId;
   m.type = net::MsgType::kStatusReport;
   m.row = echo_row;
-  m.payload = s.Serialize();
+  m.payload = std::move(payload);
   endpoint_->Send(std::move(m));
+}
+
+void HostProcess::SendStatus(std::uint32_t echo_row) {
+  HostStatus s;
+  if (host_ != nullptr) {
+    s.online = host_->online();
+    s.epoch = host_->epoch();
+    for (std::uint64_t f : host_->store().FileIds()) {
+      s.files.push_back(host_->store().MetaOf(f));
+    }
+    s.metrics = host_->metrics();
+  }
+  Reply(echo_row, s.Serialize());
 }
 
 int RunHostProcess(const std::string& config_path, std::uint32_t id) {

@@ -61,60 +61,132 @@ ReshareCounters& ReshareObs() {
   return *c;
 }
 
+HypervisorConfig Validated(HypervisorConfig cfg) {
+  cfg.params.Validate();
+  return cfg;
+}
+
+HostConfig HostProto(const HypervisorConfig& cfg) {
+  HostConfig hc;
+  hc.params = cfg.params;
+  hc.ctx = cfg.ctx;
+  hc.encrypt_links = cfg.encrypt_links;
+  hc.rng_seed = cfg.seed;
+  return hc;
+}
+
+// Files held by any booted host, ascending.
+std::vector<std::uint64_t> AllFileIds(const std::vector<HostStatus>& view) {
+  std::set<std::uint64_t> ids;
+  for (const HostStatus& h : view) {
+    if (!h.online) continue;
+    for (const FileMeta& m : h.files) ids.insert(m.file_id);
+  }
+  return {ids.begin(), ids.end()};
+}
+
+// Hosts that are booted and reachable, ascending.
+std::vector<std::uint32_t> ReachableHosts(const std::vector<HostStatus>& view) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t i = 0; i < view.size(); ++i) {
+    if (view[i].reachable) out.push_back(i);
+  }
+  return out;
+}
+
+HostMetrics TotalHostMetrics(const std::vector<HostStatus>& view) {
+  HostMetrics total;
+  for (const HostStatus& h : view) total.Add(h.metrics);
+  return total;
+}
+
+// A restarted host process reports its counters from zero again.
+std::uint64_t Delta(std::uint64_t before, std::uint64_t after) {
+  return after > before ? after - before : 0;
+}
+
+// Adds the fleet's `phase` metric delta to `total` and its robustness
+// counter deltas to `report`.
+void AddMetricDelta(const HostMetrics& before, const HostMetrics& after,
+                    PhaseMetrics HostMetrics::*phase, PhaseMetrics& total,
+                    WindowReport& report) {
+  const PhaseMetrics& b = before.*phase;
+  const PhaseMetrics& a = after.*phase;
+  total.cpu_ns += Delta(b.cpu_ns, a.cpu_ns);
+  total.wall_ns += Delta(b.wall_ns, a.wall_ns);
+  total.bytes_sent += Delta(b.bytes_sent, a.bytes_sent);
+  total.msgs_sent += Delta(b.msgs_sent, a.msgs_sent);
+  report.deals_excluded +=
+      Delta(before.faults.deals_excluded, after.faults.deals_excluded);
+  report.timeouts_fired +=
+      Delta(before.faults.timeouts_fired, after.faults.timeouts_fired);
+}
+
+void AppendAborted(std::vector<Host::SweepResult>& swept,
+                   std::vector<std::string>& sink) {
+  for (Host::SweepResult& s : swept) {
+    for (std::string& desc : s.aborted) sink.push_back(std::move(desc));
+  }
+}
+
 }  // namespace
 
 Hypervisor::Hypervisor(HypervisorConfig cfg, net::SimNet& net,
                        net::SyncNetwork& sync,
                        const crypto::SchnorrGroup& group)
-    : cfg_(std::move(cfg)),
-      net_(net),
-      sync_(sync),
-      group_(group),
+    : cfg_(Validated(std::move(cfg))),
       rng_(cfg_.seed ^ 0x9D15CE5ULL),
-      ca_(group, rng_) {
-  cfg_.params.Validate();
-  endpoint_ = net_.AddEndpoint(net::kHypervisorId);
-  sync_.Register(net::kHypervisorId, endpoint_, this);
+      ca_(group, rng_),
+      local_(std::make_unique<LocalFleet>(net, sync, *this, HostProto(cfg_),
+                                          cfg_.params.n, group,
+                                          ca_.public_key())),
+      fleet_(*local_),
+      endpoint_(local_->hypervisor_endpoint()) {
+  Start();
+}
 
-  const std::size_t n = cfg_.params.n;
-  hosts_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    net::SimEndpoint* ep = net_.AddEndpoint(i);
-    host_endpoints_.push_back(ep);
-    HostConfig hc;
-    hc.id = i;
-    hc.params = cfg_.params;
-    hc.ctx = cfg_.ctx;
-    hc.encrypt_links = cfg_.encrypt_links;
-    hc.rng_seed = cfg_.seed;
-    hosts_.push_back(std::make_unique<Host>(hc, *ep, group_, ca_.public_key()));
-    sync_.Register(i, ep, hosts_.back().get());
-    peer_ids_.push_back(i);
-  }
-  schedule_ = MakeSchedule(cfg_.schedule, n, cfg_.params.r, cfg_.seed ^ 0x5C4ED);
-
-  for (std::uint32_t i = 0; i < n; ++i) BootHost(i);
-  sync_.RunToQuiescence();
+Hypervisor::Hypervisor(HypervisorConfig cfg, Fleet& fleet,
+                       net::Transport& endpoint,
+                       const crypto::SchnorrGroup& group)
+    : cfg_(Validated(std::move(cfg))),
+      rng_(cfg_.seed ^ 0x9D15CE5ULL),
+      ca_(group, rng_),
+      fleet_(fleet),
+      endpoint_(endpoint) {
+  Start();
 }
 
 Hypervisor::~Hypervisor() = default;
 
-void Hypervisor::BootHost(std::uint32_t id) {
+void Hypervisor::Start() {
+  const std::size_t n = cfg_.params.n;
+  for (std::uint32_t i = 0; i < n; ++i) peer_ids_.push_back(i);
+  schedule_ = MakeSchedule(cfg_.schedule, n, cfg_.params.r, cfg_.seed ^ 0x5C4ED);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!BootHost(i)) LogWarn() << "hypervisor: host " << i << " did not boot";
+  }
+  fleet_.Settle(*this, 0, 0);
+}
+
+bool Hypervisor::BootHost(std::uint32_t id) {
   ++boot_epoch_;
   auto [cert, sk] = ca_.IssueHostKey(id, boot_epoch_, rng_);
   directory_[id] = cert;
-  net_.SetOffline(id, false);
-  hosts_[id]->Boot(boot_epoch_, cert, std::move(sk), peer_ids_);
-  // Provision the current public-key directory onto the fresh image (the
-  // hypervisor acts as the cert directory; a rebooted host lost everything).
+  BootMaterial boot;
+  boot.ca_pk = ca_.public_key();
+  boot.epoch = boot_epoch_;
+  boot.cert = std::move(cert);
+  boot.sk = std::move(sk);
+  boot.peers = peer_ids_;
   for (const auto& [peer, peer_cert] : directory_) {
-    if (peer != id) hosts_[id]->InstallPeerCert(peer_cert);
+    boot.directory.push_back(peer_cert);
   }
   // The fresh image is trusted again: wipe its exclusion record.
   excluded_.erase(id);
   dealer_strikes_.erase(id);
   suspects_.erase(id);
   suspect_strikes_.erase(id);
+  return fleet_.Boot(id, std::move(boot));
 }
 
 std::pair<crypto::HostCert, Bytes> Hypervisor::EnrollExternal(
@@ -124,77 +196,29 @@ std::pair<crypto::HostCert, Bytes> Hypervisor::EnrollExternal(
   if (std::find(peer_ids_.begin(), peer_ids_.end(), id) == peer_ids_.end()) {
     peer_ids_.push_back(id);
   }
-  for (auto& host : hosts_) host->InstallPeerCert(cert);
+  if (local_ != nullptr) {
+    for (std::size_t i = 0; i < local_->slots(); ++i) {
+      local_->host(i).InstallPeerCert(cert);
+    }
+  }
   return {cert, std::move(sk)};
 }
 
-std::vector<std::uint64_t> Hypervisor::AllFileIds() const {
-  std::vector<std::uint64_t> ids;
-  for (const auto& host : hosts_) {
-    if (!host->online()) continue;
-    for (std::uint64_t id : host->store().FileIds()) {
-      if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-std::optional<FileMeta> Hypervisor::MetaFromAnyHost(
-    std::uint64_t file_id, std::span<const std::uint32_t> exclude) const {
-  for (const auto& host : hosts_) {
-    if (!host->online()) continue;
-    if (std::find(exclude.begin(), exclude.end(), host->id()) != exclude.end())
-      continue;
-    if (host->store().Has(file_id)) return host->store().MetaOf(file_id);
-  }
-  return std::nullopt;
-}
-
-HostMetrics Hypervisor::TotalHostMetrics() const {
-  HostMetrics total;
-  for (const auto& host : hosts_) {
-    total.rerandomize.Add(host->metrics().rerandomize);
-    total.recover.Add(host->metrics().recover);
-    total.serve.Add(host->metrics().serve);
-    total.faults.Add(host->metrics().faults);
-  }
-  return total;
-}
-
-std::vector<std::uint32_t> Hypervisor::ReachableHosts() const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < hosts_.size(); ++i) {
-    if (hosts_[i]->online() && !net_.IsOffline(i)) out.push_back(i);
-  }
-  return out;
-}
-
-void Hypervisor::AbortStuckFleet(std::vector<std::string>* sink) {
-  // Visit every host, not just those with active sessions: a host that
-  // missed a start message has no session but buffers its peers' traffic as
-  // pending, and those stale buffers must not survive into the next attempt.
-  for (const auto& host : hosts_) {
-    for (auto& desc : hosts_[host->id()]->AbortStuckSessions()) {
-      if (sink != nullptr) sink->push_back(std::move(desc));
-    }
-  }
-}
-
 std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
-    std::uint32_t seq,
-    const std::map<std::uint64_t, std::vector<std::uint32_t>>& parts_by_file) {
+    const std::map<std::uint64_t, std::vector<std::uint32_t>>& parts_by_file,
+    std::vector<Host::SweepResult>& swept) {
   std::set<std::uint32_t> corrupt;
   const field::FpCtx& ctx = *cfg_.ctx;
-  const pss::PackedShamir& shamir = hosts_[0]->shamir();
+  const pss::EvalPoints points(ctx, cfg_.params.n, cfg_.params.l);
   const std::size_t d = cfg_.params.degree();
 
   for (const auto& [file, parts] : parts_by_file) {
-    // Drain every participant's archived dealing columns for this round.
+    // Every participant's archived dealing columns for this round.
     std::map<std::uint32_t, Host::FailedRefresh> archives;
     for (std::uint32_t id : parts) {
-      if (auto fr = hosts_[id]->TakeFailedRefresh(file, seq)) {
-        archives.emplace(id, std::move(*fr));
+      auto it = swept[id].failed.find(file);
+      if (it != swept[id].failed.end()) {
+        archives.emplace(id, std::move(it->second));
       }
     }
     if (archives.empty()) continue;
@@ -211,7 +235,7 @@ std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
       for (const auto& [holder, fr] : archives) {
         if (i < fr.deal_seen.size() && fr.deal_seen[i] &&
             !fr.deals_by_dealer[i].empty()) {
-          xs.push_back(shamir.points().alpha(holder));
+          xs.push_back(points.alpha(holder));
           cols.push_back(&fr.deals_by_dealer[i]);
         }
       }
@@ -220,7 +244,7 @@ std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
       std::vector<std::vector<FpElem>> beta_w;
       beta_w.reserve(cfg_.params.l);
       for (std::size_t j = 0; j < cfg_.params.l; ++j) {
-        beta_w.push_back(checker.WeightsAt(shamir.points().beta(j)));
+        beta_w.push_back(checker.WeightsAt(points.beta(j)));
       }
       const std::size_t groups = cols.front()->size();
       std::vector<FpElem> ys(xs.size(), ctx.Zero());
@@ -252,7 +276,8 @@ std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
 }
 
 bool Hypervisor::RefreshAllFiles(WindowReport* report) {
-  return RefreshFilesInternal(AllFileIds(), /*audit_catalog=*/true, report);
+  return RefreshFilesInternal(AllFileIds(fleet_.Survey()),
+                              /*audit_catalog=*/true, report);
 }
 
 bool Hypervisor::RefreshFiles(std::span<const std::uint64_t> file_ids,
@@ -265,10 +290,32 @@ bool Hypervisor::RefreshFiles(std::span<const std::uint64_t> file_ids,
       /*audit_catalog=*/false, report);
 }
 
+template <typename Key>
+std::vector<std::uint32_t> Hypervisor::StrikeSilent(
+    const std::map<Key, std::size_t>& wedged,
+    const std::map<Key, std::map<std::uint32_t, std::size_t>>& missing_at,
+    std::map<std::uint32_t, std::uint32_t>& strikes) {
+  std::set<std::uint32_t> silent;
+  for (const auto& [key, counts] : missing_at) {
+    for (const auto& [id, cnt] : counts) {
+      if (cnt * 2 > wedged.at(key)) silent.insert(id);
+    }
+  }
+  std::vector<std::uint32_t> out;
+  if (silent.empty()) return out;
+  const std::vector<HostStatus> view = fleet_.Survey();
+  for (std::uint32_t id : silent) {
+    if (id < view.size() && !view[id].reachable) continue;  // crashed
+    if (++strikes[id] >= 2) out.push_back(id);
+  }
+  return out;
+}
+
 bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
                                       bool audit_catalog,
                                       WindowReport* report) {
-  const HostMetrics before = TotalHostMetrics();
+  const HostMetrics before =
+      report != nullptr ? TotalHostMetrics(fleet_.Survey()) : HostMetrics{};
   recent_failures_.clear();
   catalog_.insert(files.begin(), files.end());
 
@@ -297,8 +344,9 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
 
   for (std::size_t attempt = 0; !todo.empty() && attempt < max_attempts;
        ++attempt) {
+    const std::vector<HostStatus> view = fleet_.Survey();
     std::vector<std::uint32_t> base;
-    for (std::uint32_t id : ReachableHosts()) {
+    for (std::uint32_t id : ReachableHosts(view)) {
       if (excluded_.count(id) == 0) base.push_back(id);
     }
     if (n - base.size() > cfg_.params.t) {
@@ -322,10 +370,11 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
     // reachable and not excluded.
     std::map<std::uint64_t, std::vector<std::uint32_t>> parts_by_file;
     std::vector<std::uint64_t> launched;
+    std::size_t due = 0;  // phase reports: one per participant
     for (std::uint64_t f : todo) {
       std::vector<std::uint32_t> parts;
       for (std::uint32_t id : base) {
-        if (hosts_[id]->store().Has(f)) parts.push_back(id);
+        if (view[id].Holds(f)) parts.push_back(id);
       }
       if (parts.size() <= cfg_.params.check_rows() ||
           parts.size() < cfg_.params.degree() + 1) {
@@ -345,8 +394,9 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
         m.file_id = f;
         m.epoch = seq;
         m.payload = payload;
-        endpoint_->Send(std::move(m));
+        endpoint_.Send(std::move(m));
       }
+      due += parts.size();
       parts_by_file.emplace(f, std::move(parts));
       launched.push_back(f);
     }
@@ -354,8 +404,7 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
       todo.clear();
       break;
     }
-    auto pump = sync_.RunToQuiescence();
-    sweeps += pump.sweeps;
+    sweeps += fleet_.Settle(*this, seq, due);
 
     // Classify each file's outcome from the phase reports of this round.
     std::map<std::uint64_t, std::set<std::uint32_t>> ok_by_file;
@@ -363,30 +412,20 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
       if (pr.kind != 0 || pr.seq != seq) continue;
       if (pr.ok) ok_by_file[pr.file].insert(pr.host);
     }
-    // Bounded-delay timeout: snapshot wedged sessions (which dealers never
-    // arrived) before aborting them fleet-wide. A dealer is only suspected
-    // when its dealing is missing at more than half of a file's wedged
-    // holders -- a single lost deal points at the link, not the dealer, and
-    // must not earn strikes (random loss would otherwise exclude the whole
-    // fleet within two attempts).
+    // Bounded-delay timeout: the sweep snapshots wedged sessions (which
+    // dealers never arrived) before aborting them fleet-wide.
+    std::vector<Host::SweepResult> swept = fleet_.Sweep(seq);
     std::map<std::uint64_t, std::size_t> stuck_holders;
     std::map<std::uint64_t, std::map<std::uint32_t, std::size_t>> missing_at;
     for (std::uint32_t id : base) {
-      for (const auto& stuck : hosts_[id]->StuckRefreshSessions()) {
-        if (stuck.epoch != seq) continue;
+      for (const auto& stuck : swept[id].refresh) {
         stuck_holders[stuck.file_id] += 1;
         for (std::uint32_t dealer : stuck.missing_dealers) {
           missing_at[stuck.file_id][dealer] += 1;
         }
       }
     }
-    std::set<std::uint32_t> missing_dealers;
-    for (const auto& [f, counts] : missing_at) {
-      for (const auto& [dealer, cnt] : counts) {
-        if (cnt * 2 > stuck_holders[f]) missing_dealers.insert(dealer);
-      }
-    }
-    AbortStuckFleet(&recent_failures_);
+    AppendAborted(swept, recent_failures_);
 
     std::vector<std::uint64_t> next_todo;
     for (std::uint64_t f : launched) {
@@ -408,14 +447,14 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
     }
 
     // Exclusion: provably corrupt dealers first, then repeat silent ones.
-    for (std::uint32_t dealer : AttributeCorruptDealers(seq, parts_by_file)) {
+    for (std::uint32_t dealer : AttributeCorruptDealers(parts_by_file, swept)) {
       excluded_.insert(dealer);
       recent_failures_.push_back("dealer " + std::to_string(dealer) +
                                  " excluded: inconsistent dealing");
     }
-    for (std::uint32_t dealer : missing_dealers) {
-      if (net_.IsOffline(dealer)) continue;  // crash: availability covers it
-      if (++dealer_strikes_[dealer] >= 2 && excluded_.insert(dealer).second) {
+    for (std::uint32_t dealer :
+         StrikeSilent(stuck_holders, missing_at, dealer_strikes_)) {
+      if (excluded_.insert(dealer).second) {
         recent_failures_.push_back("dealer " + std::to_string(dealer) +
                                    " excluded: dealings repeatedly missing");
       }
@@ -428,12 +467,11 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
 
   // Staleness bookkeeping: holders outside a file's fresh set still carry
   // the pre-refresh polynomial and must not serve as recovery survivors.
+  const std::vector<HostStatus> view = fleet_.Survey();
   std::set<std::uint32_t> stale_now;
   for (const auto& [f, fresh] : fresh_for) {
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (hosts_[i]->store().Has(f) && fresh.count(i) == 0) {
-        stale_now.insert(i);
-      }
+      if (view[i].Holds(f) && fresh.count(i) == 0) stale_now.insert(i);
     }
   }
   stale_.insert(stale_now.begin(), stale_now.end());
@@ -448,26 +486,16 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
   // reboot-and-recover heals them.
   std::vector<std::uint32_t> resync;
   for (std::uint32_t id : stale_now) {
-    if (hosts_[id]->online() && !net_.IsOffline(id)) resync.push_back(id);
+    if (view[id].reachable) resync.push_back(id);
   }
   if (!resync.empty() && !RunRecovery(std::move(resync), report)) ok = false;
 
   if (report != nullptr) {
     report->sweeps_refresh += sweeps;
     report->files_refreshed += files.size();
-    const HostMetrics after = TotalHostMetrics();
-    report->rerandomize_total.cpu_ns +=
-        after.rerandomize.cpu_ns - before.rerandomize.cpu_ns;
-    report->rerandomize_total.wall_ns +=
-        after.rerandomize.wall_ns - before.rerandomize.wall_ns;
-    report->rerandomize_total.bytes_sent +=
-        after.rerandomize.bytes_sent - before.rerandomize.bytes_sent;
-    report->rerandomize_total.msgs_sent +=
-        after.rerandomize.msgs_sent - before.rerandomize.msgs_sent;
-    report->deals_excluded +=
-        after.faults.deals_excluded - before.faults.deals_excluded;
-    report->timeouts_fired +=
-        after.faults.timeouts_fired - before.faults.timeouts_fired;
+    AddMetricDelta(before, TotalHostMetrics(fleet_.Survey()),
+                   &HostMetrics::rerandomize, report->rerandomize_total,
+                   *report);
     report->failures.insert(report->failures.end(), recent_failures_.begin(),
                             recent_failures_.end());
     report->ok = report->ok && ok;
@@ -503,9 +531,10 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
       // up a survivor set that would otherwise fall below quorum -- without
       // this, strike-exclusions plus stale hosts can starve recovery forever
       // and leave the fleet unable to heal after a partition.
+      const std::vector<HostStatus> view = fleet_.Survey();
       std::vector<std::uint32_t> base;
       std::vector<std::uint32_t> reserve;
-      for (std::uint32_t id : ReachableHosts()) {
+      for (std::uint32_t id : ReachableHosts(view)) {
         if (stale_.count(id) != 0) continue;
         // Suspects never serve as survivors -- not even reserve. Exclusion
         // distrusts a host's dealing (which the target re-verifies), but a
@@ -522,7 +551,7 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
       obs::Span batch_span(obs::SpanKind::kRecoveryBatch, seq, chunk.size());
       std::vector<std::uint64_t> launched;
       bool quorum_fatal = false;
-      const std::vector<std::uint64_t> stored = AllFileIds();
+      const std::vector<std::uint64_t> stored = AllFileIds(view);
       catalog_.insert(stored.begin(), stored.end());
       for (std::uint64_t f : catalog_) {
         if (std::find(stored.begin(), stored.end(), f) == stored.end()) {
@@ -536,13 +565,13 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
       for (std::uint64_t f : stored) {
         std::vector<std::uint32_t> survivors;
         for (std::uint32_t id : base) {
-          if (hosts_[id]->store().Has(f)) survivors.push_back(id);
+          if (view[id].Holds(f)) survivors.push_back(id);
         }
         const std::size_t quorum = std::max<std::size_t>(
             cfg_.params.check_rows() + 1, cfg_.params.degree() + 1);
         for (std::uint32_t id : reserve) {
           if (survivors.size() >= quorum) break;
-          if (hosts_[id]->store().Has(f)) survivors.push_back(id);
+          if (view[id].Holds(f)) survivors.push_back(id);
         }
         if (survivors.size() <= cfg_.params.check_rows() ||
             survivors.size() < cfg_.params.degree() + 1) {
@@ -552,7 +581,7 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
           quorum_fatal = true;
           continue;
         }
-        const FileMeta meta = hosts_[survivors.front()]->store().MetaOf(f);
+        const FileMeta meta = *view[survivors.front()].Meta(f);
         // Reduced repair (cfg_.repair): with fallback kClassic only the
         // first attempt ships stripes; a failed attempt (corruption beyond
         // the reduced decode radius, or a wedged session) retries with full
@@ -592,25 +621,27 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
         for (std::uint32_t id : survivors) {
           Message m = proto;
           m.to = id;
-          endpoint_->Send(std::move(m));
+          endpoint_.Send(std::move(m));
         }
         for (std::uint32_t id : chunk) {
           Message m = proto;
           m.to = id;
-          endpoint_->Send(std::move(m));
+          endpoint_.Send(std::move(m));
         }
         launched.push_back(f);
       }
-      auto pump = sync_.RunToQuiescence();
-      if (report != nullptr) report->sweeps_recovery += pump.sweeps;
+      const std::uint64_t pumped =
+          fleet_.Settle(*this, seq, launched.size() * chunk.size());
+      if (report != nullptr) report->sweeps_recovery += pumped;
 
       bool bad = quorum_fatal;
       for (const PhaseReport& pr : phase_reports_) {
         if (pr.kind == 1 && pr.seq == seq && !pr.ok) bad = true;
       }
+      const std::vector<HostStatus> after = fleet_.Survey();
       for (std::uint32_t id : chunk) {
         for (std::uint64_t f : launched) {
-          if (!hosts_[id]->store().Has(f)) {
+          if (!after[id].Holds(f)) {
             recent_failures_.push_back("host " + std::to_string(id) +
                                        " missing file after recovery");
             bad = true;
@@ -619,40 +650,26 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
       }
       // Sessions still active at quiescence are wedged (bounded-delay
       // timeout). Judge only live sessions: stale pending buffers from a
-      // previous attempt are cleaned below but say nothing about this one.
-      for (const auto& host : hosts_) {
-        if (host->HasActiveSessions()) {
-          bad = true;
-          break;
-        }
-      }
-      // Snapshot wedged recovery sessions before aborting them, mirroring the
-      // refresh dealer-strike rule: a survivor whose dealing or masked share
-      // is missing at more than half of a (file, target)'s wedged sessions
-      // earns a strike; two strikes mark it suspect. A single missing message
-      // blames the link, not the host.
+      // previous attempt are cleaned by the sweep but say nothing about this
+      // one. The sweep snapshots the wedged sessions before aborting them,
+      // for the strike rule keyed by (file, target).
+      std::vector<Host::SweepResult> swept = fleet_.Sweep(seq);
       std::map<std::pair<std::uint64_t, std::uint32_t>, std::size_t> stuck_cnt;
       std::map<std::pair<std::uint64_t, std::uint32_t>,
                std::map<std::uint32_t, std::size_t>>
           missing_at;
-      for (const auto& host : hosts_) {
-        for (const auto& stuck : host->StuckRecoverySessions()) {
-          if (stuck.epoch != seq) continue;
+      for (const Host::SweepResult& s : swept) {
+        if (s.active) bad = true;
+        for (const auto& stuck : s.recovery) {
           const auto key = std::make_pair(stuck.file_id, stuck.target);
           stuck_cnt[key] += 1;
           for (std::uint32_t id : stuck.missing_dealers) missing_at[key][id]++;
           for (std::uint32_t id : stuck.missing_senders) missing_at[key][id]++;
         }
       }
-      std::set<std::uint32_t> silent;
-      for (const auto& [key, counts] : missing_at) {
-        for (const auto& [id, cnt] : counts) {
-          if (cnt * 2 > stuck_cnt[key]) silent.insert(id);
-        }
-      }
-      for (std::uint32_t id : silent) {
-        if (net_.IsOffline(id)) continue;  // crash: availability covers it
-        if (++suspect_strikes_[id] >= 2 && suspects_.insert(id).second) {
+      for (std::uint32_t id :
+           StrikeSilent(stuck_cnt, missing_at, suspect_strikes_)) {
+        if (suspects_.insert(id).second) {
           SurvivorsSuspected().Add(1);
           obs::Span span(obs::SpanKind::kByzDetect, id, seq);
           recent_failures_.push_back(
@@ -660,7 +677,7 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
               " suspected: recovery traffic repeatedly missing");
         }
       }
-      AbortStuckFleet(&recent_failures_);
+      AppendAborted(swept, recent_failures_);
 
       if (!bad) {
         chunk_ok = true;
@@ -682,19 +699,20 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
   return all_ok;
 }
 
-bool Hypervisor::BatchSafeToReboot(
-    std::span<const std::uint32_t> batch) const {
+bool Hypervisor::BatchSafeToReboot(std::span<const std::uint32_t> batch) {
   // Mirror RunRecovery's survivor selection: recovery toward the wiped batch
   // draws on reachable non-stale holders (excluded hosts included -- they
   // may serve as reserve survivors). If any file would fall below that
   // quorum the reboot is unsafe: an outage already degraded the fleet, and
   // wiping more hosts would destroy the last consistent copies.
-  for (std::uint64_t f : AllFileIds()) {
+  const std::vector<HostStatus> view = fleet_.Survey();
+  const std::vector<std::uint32_t> reachable = ReachableHosts(view);
+  for (std::uint64_t f : AllFileIds(view)) {
     std::size_t survivors = 0;
-    for (std::uint32_t id : ReachableHosts()) {
+    for (std::uint32_t id : reachable) {
       if (stale_.count(id) != 0) continue;
       if (std::find(batch.begin(), batch.end(), id) != batch.end()) continue;
-      if (hosts_[id]->store().Has(f)) ++survivors;
+      if (view[id].Holds(f)) ++survivors;
     }
     if (survivors <= cfg_.params.check_rows() ||
         survivors < cfg_.params.degree() + 1) {
@@ -706,39 +724,37 @@ bool Hypervisor::BatchSafeToReboot(
 
 bool Hypervisor::RebootAndRecover(std::span<const std::uint32_t> batch,
                                   WindowReport* report) {
-  const HostMetrics before = TotalHostMetrics();
+  const HostMetrics before =
+      report != nullptr ? TotalHostMetrics(fleet_.Survey()) : HostMetrics{};
   recent_failures_.clear();
 
-  // Secure disassociation: kill the batch. Until recovery completes the
+  // Secure disassociation: halt the batch. Until recovery completes the
   // rebooted stores are empty, so the batch is stale by definition.
   for (std::uint32_t id : batch) {
-    hosts_[id]->Shutdown();
-    net_.SetOffline(id, true);
+    fleet_.Halt(id);
     stale_.insert(id);
   }
   // Fresh keys + reintegration broadcast.
-  for (std::uint32_t id : batch) BootHost(id);
-  auto pump_boot = sync_.RunToQuiescence();
+  std::vector<std::uint32_t> booted;
+  std::vector<std::string> boot_failures;
+  for (std::uint32_t id : batch) {
+    if (BootHost(id)) {
+      booted.push_back(id);
+    } else {
+      boot_failures.push_back("host " + std::to_string(id) + " did not boot");
+    }
+  }
+  const std::uint64_t boot_sweeps = fleet_.Settle(*this, 0, 0);
 
-  bool ok = RunRecovery(
-      std::vector<std::uint32_t>(batch.begin(), batch.end()), report);
+  bool ok = RunRecovery(booted, report) && boot_failures.empty();
+  recent_failures_.insert(recent_failures_.end(), boot_failures.begin(),
+                          boot_failures.end());
 
   if (report != nullptr) {
-    report->sweeps_recovery += pump_boot.sweeps;
-    report->reboots += batch.size();
-    const HostMetrics after = TotalHostMetrics();
-    report->recover_total.cpu_ns +=
-        after.recover.cpu_ns - before.recover.cpu_ns;
-    report->recover_total.wall_ns +=
-        after.recover.wall_ns - before.recover.wall_ns;
-    report->recover_total.bytes_sent +=
-        after.recover.bytes_sent - before.recover.bytes_sent;
-    report->recover_total.msgs_sent +=
-        after.recover.msgs_sent - before.recover.msgs_sent;
-    report->deals_excluded +=
-        after.faults.deals_excluded - before.faults.deals_excluded;
-    report->timeouts_fired +=
-        after.faults.timeouts_fired - before.faults.timeouts_fired;
+    report->sweeps_recovery += boot_sweeps;
+    report->reboots += booted.size();
+    AddMetricDelta(before, TotalHostMetrics(fleet_.Survey()),
+                   &HostMetrics::recover, report->recover_total, *report);
     report->failures.insert(report->failures.end(), recent_failures_.begin(),
                             recent_failures_.end());
     report->ok = report->ok && ok;
@@ -781,9 +797,16 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
   const pss::Params from = cfg_.params;
   ReshareReport local;
   ReshareReport& rep = report != nullptr ? *report : local;
+  if (local_ == nullptr) {
+    rep.failures.push_back(
+        "reshare: runs on in-process fleets only (no wire control plane for "
+        "contributions or re-provisioning)");
+    rep.ok = false;
+    return false;
+  }
   obs::Span span(obs::SpanKind::kReshare, window_, to.n);
 
-  const pss::PackedShamir& from_scheme = hosts_[0]->shamir();
+  const pss::PackedShamir& from_scheme = local_->host(0).shamir();
   pss::PackedShamir to_scheme(cfg_.ctx, to);
   const std::size_t d_old = from.degree();
 
@@ -791,7 +814,8 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
   // sum them into the new sharing. Nothing in the fleet mutates until every
   // file has a complete new sharing, so a failed migration leaves the old
   // group serving untouched.
-  const std::vector<std::uint64_t> files = AllFileIds();
+  const std::vector<HostStatus> view = fleet_.Survey();
+  const std::vector<std::uint64_t> files = AllFileIds(view);
   for (std::uint64_t id : catalog_) {
     if (std::find(files.begin(), files.end(), id) == files.end()) {
       rep.failures.push_back("reshare: file " + std::to_string(id) +
@@ -805,8 +829,11 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
   std::map<std::uint64_t, FileMeta> metas;
   const std::size_t max_attempts = from.t + 2;
   for (std::uint64_t file : files) {
-    auto meta = MetaFromAnyHost(file, {});
-    if (!meta.has_value()) {
+    const FileMeta* meta = nullptr;
+    for (const HostStatus& h : view) {
+      if (h.online && (meta = h.Meta(file)) != nullptr) break;
+    }
+    if (meta == nullptr) {
       rep.failures.push_back("reshare: file " + std::to_string(file) +
                              " has no readable meta");
       rep.ok = false;
@@ -819,9 +846,9 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
       // Contributors: fresh (non-stale), non-excluded holders of the current
       // sharing, ascending -- deterministic given the exclusion state.
       std::vector<std::uint32_t> holders;
-      for (std::uint32_t i : ReachableHosts()) {
+      for (std::uint32_t i : ReachableHosts(view)) {
         if (excluded_.count(i) != 0 || stale_.count(i) != 0) continue;
-        if (hosts_[i]->store().Has(file)) holders.push_back(i);
+        if (view[i].Holds(file)) holders.push_back(i);
       }
       if (holders.size() < d_old + 1) break;
       holders.resize(d_old + 1);
@@ -832,7 +859,7 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
       bool round_ok = true;
       for (std::size_t ordinal = 0; ordinal < holders.size(); ++ordinal) {
         const std::uint32_t c = holders[ordinal];
-        auto contribution = hosts_[c]->ComputeReshare(file, pub, ordinal);
+        auto contribution = local_->host(c).ComputeReshare(file, pub, ordinal);
         rep.contributions += 1;
         ReshareObs().contributions.Add(1);
         if (!contribution.has_value()) {
@@ -888,44 +915,35 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
   // and park for a later grow.
   const std::size_t n_old = from.n;
   cfg_.params = to;
-  for (std::uint32_t i = hosts_.size(); i < to.n; ++i) {
-    net::SimEndpoint* ep = net_.AddEndpoint(i);
-    host_endpoints_.push_back(ep);
-    HostConfig hc;
-    hc.id = i;
-    hc.params = to;
-    hc.ctx = cfg_.ctx;
-    hc.encrypt_links = cfg_.encrypt_links;
-    hc.rng_seed = cfg_.seed;
-    hosts_.push_back(std::make_unique<Host>(hc, *ep, group_, ca_.public_key()));
-    sync_.Register(i, ep, hosts_.back().get());
+  for (auto i = static_cast<std::uint32_t>(local_->slots()); i < to.n; ++i) {
     peer_ids_.push_back(i);
   }
+  local_->Grow(to.n, to);
+  const std::vector<HostStatus> now = fleet_.Survey();
   for (std::uint32_t i = 0; i < to.n; ++i) {
-    hosts_[i]->AdoptParams(to);
-    if (!hosts_[i]->online() || net_.IsOffline(i)) {
+    local_->host(i).AdoptParams(to);
+    if (!now[i].reachable) {
       BootHost(i);
       rep.hosts_added += 1;
       ReshareObs().hosts_added.Add(1);
     }
   }
-  for (std::uint32_t i = to.n; i < n_old && i < hosts_.size(); ++i) {
-    if (!hosts_[i]->online()) continue;
-    hosts_[i]->Shutdown();
-    net_.SetOffline(i, true);
+  for (std::uint32_t i = to.n; i < n_old && i < now.size(); ++i) {
+    if (!now[i].online) continue;
+    fleet_.Halt(i);
     rep.hosts_retired += 1;
     ReshareObs().hosts_retired.Add(1);
   }
   schedule_ = MakeSchedule(cfg_.schedule, to.n, to.r, cfg_.seed ^ 0x5C4ED);
   // Every slot is about to receive the fresh sharing: nobody is stale.
   stale_.clear();
-  sync_.RunToQuiescence();  // deliver the boot cert broadcasts
+  fleet_.Settle(*this, 0, 0);  // deliver the boot cert broadcasts
 
   // Phase 3: install the new sharings (privileged re-provisioning, the same
   // control channel BootHost uses).
   for (const auto& [file, shares] : new_shares) {
     for (std::uint32_t rho = 0; rho < to.n; ++rho) {
-      hosts_[rho]->InstallShares(metas.at(file), shares[rho]);
+      local_->host(rho).InstallShares(metas.at(file), shares[rho]);
     }
     rep.files += 1;
     ReshareObs().files.Add(1);
@@ -953,7 +971,7 @@ void Hypervisor::HandleMessage(const Message& msg) {
       const std::uint32_t count = r.U32();
       for (std::uint32_t i = 0; i < count; ++i) {
         const std::uint32_t id = r.U32();
-        if (id >= hosts_.size() || id == msg.from) continue;
+        if (id >= Slots() || id == msg.from) continue;
         if (suspects_.insert(id).second) {
           SurvivorsSuspected().Add(1);
           obs::Span span(obs::SpanKind::kByzDetect, id, msg.from);

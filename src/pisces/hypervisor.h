@@ -38,14 +38,17 @@
 // until they have been resynced.
 //
 // The hypervisor drives hosts through the same message fabric as everyone
-// else for protocol traffic, but uses direct method calls for the privileged
-// lifecycle operations a real CSP performs out-of-band.
+// else for protocol traffic; the privileged lifecycle operations a real CSP
+// performs out-of-band go through a Fleet (pisces/fleet.h): direct calls on
+// in-process hosts, or the wire control plane to one process per host. The
+// whole window -- schedule, attribution, strikes, stale resync -- is this one
+// implementation over either fleet.
 #pragma once
 
 #include <memory>
 #include <set>
 
-#include "pisces/host.h"
+#include "pisces/fleet.h"
 #include "pisces/read_spec.h"
 #include "pisces/schedule.h"
 
@@ -104,24 +107,24 @@ struct HypervisorConfig {
 
 class Hypervisor : public net::MessageHandler {
  public:
-  // Creates the CA, n hosts with endpoints on `net`, registers everything
-  // with `sync`, and boots all hosts (epoch 1). The client id is part of the
-  // peer directory so hosts learn client certs.
+  // Creates the CA and an in-process LocalFleet of n hosts with endpoints on
+  // `net`, registered with `sync` after the hypervisor's own endpoint, and
+  // boots all hosts (epochs 1..n).
   Hypervisor(HypervisorConfig cfg, net::SimNet& net, net::SyncNetwork& sync,
+             const crypto::SchnorrGroup& group);
+  // Creates the CA and boots the n hosts of `fleet`, sending protocol starts
+  // on `endpoint` (the kHypervisorId endpoint the fleet also listens on).
+  Hypervisor(HypervisorConfig cfg, Fleet& fleet, net::Transport& endpoint,
              const crypto::SchnorrGroup& group);
   ~Hypervisor() override;
 
-  Host& host(std::size_t i) { return *hosts_.at(i); }
-  const Host& host(std::size_t i) const { return *hosts_.at(i); }
-  // Logical fleet size: the current group shape's n. After a shrink the
-  // hosts_ vector keeps retired slots parked (offline, wiped) for reuse by a
-  // later grow, so hosts_.size() may exceed n().
+  // The in-process hosts; nullptr when the fleet is remote. After a shrink
+  // it keeps retired slots parked (offline, wiped) for reuse by a later
+  // grow, so its slots() may exceed n(). Anything that plants per-host state
+  // -- e.g. arming fault injectors -- must cover every slot.
+  LocalFleet* local_fleet() { return local_.get(); }
+  // Logical fleet size: the current group shape's n.
   std::size_t n() const { return cfg_.params.n; }
-  // Physical slot count including parked ones (>= n() after a shrink).
-  // Anything that plants per-host state -- e.g. arming fault injectors --
-  // must cover every slot, or a parked host revived by a later grow comes
-  // back holding stale pointers.
-  std::size_t host_slots() const { return hosts_.size(); }
   const pss::Params& params() const { return cfg_.params; }
   Bytes ca_public_key() const { return ca_.public_key(); }
   // Public cert directory (hypervisor-signed; used to provision newcomers).
@@ -129,8 +132,10 @@ class Hypervisor : public net::MessageHandler {
     return directory_;
   }
 
-  // Issues a signed keypair for an external participant (the client) and
-  // registers its cert in the directory of every host.
+  // Issues a signed keypair for an external participant (the client), adds
+  // it to the directory every later boot provisions, and installs it on the
+  // in-process hosts. Hosts in other processes learn it when the external
+  // sends them its cert (kHostCert), as a rebooted host does.
   std::pair<crypto::HostCert, Bytes> EnrollExternal(std::uint32_t id);
 
   // --- update orchestration (paper SectionVI-E) ---
@@ -167,7 +172,8 @@ class Hypervisor : public net::MessageHandler {
   // online with the fresh sharing installed (re-provisioning through
   // reshare, not recovery). Returns false, fleet untouched, when any file
   // cannot gather d_old+1 verified contributions within the corruption
-  // bound.
+  // bound. In-process fleets only: over a remote fleet it returns false with
+  // a failure line and touches no host.
   bool Reshare(const pss::Params& to, ReshareReport* report = nullptr);
 
   void HandleMessage(const net::Message& msg) override;
@@ -208,45 +214,48 @@ class Hypervisor : public net::MessageHandler {
     bool ok = false;
   };
 
-  void BootHost(std::uint32_t id);
+  // Common tail of both constructors: schedule, then boot every host.
+  void Start();
+  std::size_t Slots() const {
+    return local_ != nullptr ? local_->slots() : cfg_.params.n;
+  }
+  // Issues fresh keys for a new epoch and boots `id` through the fleet;
+  // false when the host did not come up.
+  bool BootHost(std::uint32_t id);
   // Shared body of RefreshAllFiles / RefreshFiles; `audit_catalog` enables
   // the fleet-wide lost-file check (full-namespace refresh only).
   bool RefreshFilesInternal(std::vector<std::uint64_t> files,
                             bool audit_catalog, WindowReport* report);
-  std::vector<std::uint64_t> AllFileIds() const;
-  std::optional<FileMeta> MetaFromAnyHost(
-      std::uint64_t file_id, std::span<const std::uint32_t> exclude) const;
-  HostMetrics TotalHostMetrics() const;
-
-  // Hosts that are booted and reachable (not net-offline), ascending.
-  std::vector<std::uint32_t> ReachableHosts() const;
   // Whether wiping `batch` still leaves every stored file enough fresh
   // reachable holders to satisfy the recovery quorum.
-  bool BatchSafeToReboot(std::span<const std::uint32_t> batch) const;
-  // Aborts stuck sessions on every host, appending their descriptions to
-  // `sink` (nullptr discards them).
-  void AbortStuckFleet(std::vector<std::string>* sink);
-  // Cross-checks archived dealing columns of failed refresh rounds and
+  bool BatchSafeToReboot(std::span<const std::uint32_t> batch);
+  // Cross-checks the swept dealing columns of a failed refresh round and
   // returns the dealers whose columns are provably inconsistent.
   std::set<std::uint32_t> AttributeCorruptDealers(
-      std::uint32_t seq,
-      const std::map<std::uint64_t, std::vector<std::uint32_t>>&
-          parts_by_file);
+      const std::map<std::uint64_t, std::vector<std::uint32_t>>& parts_by_file,
+      std::vector<Host::SweepResult>& swept);
+  // The strike rule of refresh dealers and recovery survivors: an id missing
+  // at more than half of a key's wedged sessions earns a strike (one lost
+  // message blames the link, not the host; a crash is covered by
+  // availability). Returns the ids whose strike is their second or later:
+  // the caller excludes or suspects them.
+  template <typename Key>
+  std::vector<std::uint32_t> StrikeSilent(
+      const std::map<Key, std::size_t>& wedged,
+      const std::map<Key, std::map<std::uint32_t, std::size_t>>& missing_at,
+      std::map<std::uint32_t, std::uint32_t>& strikes);
   // Recovers every stored file toward `targets` (chunked by r, retried with
   // a shrinking survivor set). Erases recovered targets from stale_. Appends
   // its failures to recent_failures_.
   bool RunRecovery(std::vector<std::uint32_t> targets, WindowReport* report);
 
   HypervisorConfig cfg_;
-  net::SimNet& net_;
-  net::SyncNetwork& sync_;
-  const crypto::SchnorrGroup& group_;
   Rng rng_;
   crypto::CertAuthority ca_;
-  net::SimEndpoint* endpoint_ = nullptr;
+  std::unique_ptr<LocalFleet> local_;  // set iff the fleet is in process
+  Fleet& fleet_;
+  net::Transport& endpoint_;
 
-  std::vector<net::SimEndpoint*> host_endpoints_;
-  std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::uint32_t> peer_ids_;  // hosts + enrolled externals
   std::map<std::uint32_t, crypto::HostCert> directory_;
 
@@ -267,7 +276,7 @@ class Hypervisor : public net::MessageHandler {
   std::set<std::uint32_t> stale_;
   // Every file id ever observed on a host. Host stores are the only file
   // directory, so once the last holder is wiped a file would silently vanish
-  // from AllFileIds() and refresh/recovery would succeed vacuously; the
+  // from a survey and refresh/recovery would succeed vacuously; the
   // catalog turns that into a reported loss instead.
   std::set<std::uint64_t> catalog_;
 };

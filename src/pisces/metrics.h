@@ -89,6 +89,12 @@ struct HostMetrics {
   PhaseMetrics recover;      // recovery: masks, masked shares, interpolation
   PhaseMetrics serve;        // set / reconstruct traffic
   FaultMetrics faults;       // robustness machinery activity
+  void Add(const HostMetrics& o) {
+    rerandomize.Add(o.rerandomize);
+    recover.Add(o.recover);
+    serve.Add(o.serve);
+    faults.Add(o.faults);
+  }
   void Reset() { *this = HostMetrics{}; }
 };
 

@@ -10,7 +10,9 @@
 // knob must fail loudly, not silently default).
 //
 // Port map (all loopback): host i listens on base_port + i, the
-// hypervisor/coordinator on base_port + n, the client on base_port + n + 1.
+// hypervisor on base_port + n, the client on base_port + n + 1. Keep the
+// block below Linux's ephemeral range (32768-60999): a listener there can
+// find its port taken as the source port of some outgoing connection.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,7 @@ struct MpConfig {
   std::uint32_t r = 1;
   std::uint32_t field_bits = 256;
 
-  std::uint16_t base_port = 46000;
+  std::uint16_t base_port = 30000;  // below the ephemeral range
   std::uint64_t seed = 1;       // root seed; derived per process
   bool encrypt = true;          // per-peer channel encryption on the links
   std::uint64_t heartbeat_ms = 100;   // transport supervision interval

@@ -16,19 +16,27 @@
 namespace pisces::net {
 namespace {
 
-std::uint16_t BasePort() {
-  // Offset +100 keeps clear of transport_conformance_test.cpp's range.
-  return static_cast<std::uint16_t>(40100 + (::getpid() % 2000) * 10);
-}
-
-AsyncTcpOptions Opts(std::uint32_t id, std::uint16_t port) {
+// Every endpoint listens on an OS-chosen port (listen_port 0), read back
+// through listen_port(): no fixed port can collide with another process.
+AsyncTcpOptions Opts(std::uint32_t id) {
   AsyncTcpOptions o;
   o.id = id;
-  o.listen_port = port;
   o.seed = 7 + id;
   o.heartbeat_interval_ms = 50;
   o.backoff_max_ms = 100;  // keep reconnect cycles fast under test
   return o;
+}
+
+// Points each endpoint at the other's listener.
+void Link(AsyncTcpEndpoint& a, AsyncTcpEndpoint& b) {
+  a.AddPeer(b.id(), b.listen_port());
+  b.AddPeer(a.id(), a.listen_port());
+}
+
+// A loopback port nobody listens on any more.
+std::uint16_t ClosedPort() {
+  AsyncTcpEndpoint gone(Opts(99));
+  return gone.listen_port();
 }
 
 Message Make(std::uint32_t to, Bytes payload) {
@@ -51,11 +59,9 @@ bool WaitFor(Cond cond, int timeout_ms) {
 }
 
 TEST(AsyncTcp, RoundTripAndStats) {
-  const std::uint16_t base = BasePort();
-  AsyncTcpEndpoint a(Opts(1, base));
-  AsyncTcpEndpoint b(Opts(2, static_cast<std::uint16_t>(base + 1)));
-  a.AddPeer(2, static_cast<std::uint16_t>(base + 1));
-  b.AddPeer(1, base);
+  AsyncTcpEndpoint a(Opts(1));
+  AsyncTcpEndpoint b(Opts(2));
+  Link(a, b);
 
   a.Send(Make(2, Bytes{1, 2, 3}));
   auto m = b.ReceiveWait(3000);
@@ -69,11 +75,9 @@ TEST(AsyncTcp, RoundTripAndStats) {
 }
 
 TEST(AsyncTcp, PerLinkOrdering) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 2);
-  AsyncTcpEndpoint a(Opts(1, base));
-  AsyncTcpEndpoint b(Opts(2, static_cast<std::uint16_t>(base + 1)));
-  a.AddPeer(2, static_cast<std::uint16_t>(base + 1));
-  b.AddPeer(1, base);
+  AsyncTcpEndpoint a(Opts(1));
+  AsyncTcpEndpoint b(Opts(2));
+  Link(a, b);
 
   for (std::uint8_t i = 0; i < 100; ++i) a.Send(Make(2, Bytes{i}));
   for (std::uint8_t i = 0; i < 100; ++i) {
@@ -84,8 +88,7 @@ TEST(AsyncTcp, PerLinkOrdering) {
 }
 
 TEST(AsyncTcp, SelfSendDeliversLocally) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 4);
-  AsyncTcpEndpoint a(Opts(1, base));
+  AsyncTcpEndpoint a(Opts(1));
   a.Send(Make(1, Bytes{9}));
   auto m = a.ReceiveWait(1000);
   ASSERT_TRUE(m.has_value());
@@ -94,41 +97,34 @@ TEST(AsyncTcp, SelfSendDeliversLocally) {
 }
 
 TEST(AsyncTcp, UnknownPeerThrows) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 5);
-  AsyncTcpEndpoint a(Opts(1, base));
+  AsyncTcpEndpoint a(Opts(1));
   EXPECT_THROW(a.Send(Make(99, Bytes{1})), Error);
 }
 
 TEST(AsyncTcp, QueuesUntilPeerAppears) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 6);
-  AsyncTcpEndpoint a(Opts(1, base));
-  const auto peer_port = static_cast<std::uint16_t>(base + 1);
-  a.AddPeer(2, peer_port);
+  AsyncTcpEndpoint a(Opts(1));
+  a.AddPeer(2, ClosedPort());
   a.Send(Make(2, Bytes{42}));  // nobody is listening yet; must not throw
 
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  AsyncTcpEndpoint b(Opts(2, peer_port));
-  b.AddPeer(1, base);
+  AsyncTcpEndpoint b(Opts(2));
+  Link(a, b);  // the next reconnect attempt finds b
   auto m = b.ReceiveWait(5000);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->payload[0], 42);
 }
 
 TEST(AsyncTcp, ReconnectsAfterPeerRestart) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 8);
-  const auto peer_port = static_cast<std::uint16_t>(base + 1);
-  AsyncTcpEndpoint a(Opts(1, base));
-  a.AddPeer(2, peer_port);
-
-  auto b = std::make_unique<AsyncTcpEndpoint>(Opts(2, peer_port));
-  b->AddPeer(1, base);
+  AsyncTcpEndpoint a(Opts(1));
+  auto b = std::make_unique<AsyncTcpEndpoint>(Opts(2));
+  Link(a, *b);
   a.Send(Make(2, Bytes{1}));
   ASSERT_TRUE(b->ReceiveWait(3000).has_value());
 
   b.reset();  // peer "crashes"; a's connection dies mid-supervision
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  b = std::make_unique<AsyncTcpEndpoint>(Opts(2, peer_port));  // "restart"
-  b->AddPeer(1, base);
+  b = std::make_unique<AsyncTcpEndpoint>(Opts(2));  // "restart"
+  Link(a, *b);
 
   a.Send(Make(2, Bytes{2}));
   auto m = b->ReceiveWait(5000);
@@ -139,12 +135,9 @@ TEST(AsyncTcp, ReconnectsAfterPeerRestart) {
 }
 
 TEST(AsyncTcp, PeerHealthTracksHeartbeats) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 10);
-  AsyncTcpEndpoint a(Opts(1, base));
-  auto b = std::make_unique<AsyncTcpEndpoint>(
-      Opts(2, static_cast<std::uint16_t>(base + 1)));
-  a.AddPeer(2, static_cast<std::uint16_t>(base + 1));
-  b->AddPeer(1, base);
+  AsyncTcpEndpoint a(Opts(1));
+  auto b = std::make_unique<AsyncTcpEndpoint>(Opts(2));
+  Link(a, *b);
 
   EXPECT_FALSE(a.PeerHealthy(2));  // no traffic yet
   a.Send(Make(2, Bytes{1}));
@@ -158,12 +151,11 @@ TEST(AsyncTcp, PeerHealthTracksHeartbeats) {
 }
 
 TEST(AsyncTcp, BackpressureStallsThenDropsTowardDeadPeer) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 12);
-  AsyncTcpOptions o = Opts(1, base);
+  AsyncTcpOptions o = Opts(1);
   o.send_queue_cap_bytes = 4 * 1024;
   o.backpressure_stall_ms = 50;  // short stall budget under test
   AsyncTcpEndpoint a(o);
-  a.AddPeer(2, static_cast<std::uint16_t>(base + 1));  // nobody listens
+  a.AddPeer(2, ClosedPort());  // nobody listens
 
   const Bytes big(2 * 1024, 0xBB);
   for (int i = 0; i < 6; ++i) a.Send(Make(2, big));
@@ -173,15 +165,14 @@ TEST(AsyncTcp, BackpressureStallsThenDropsTowardDeadPeer) {
 }
 
 TEST(AsyncTcp, OversizedLengthPrefixRejectedBeforeAllocation) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 14);
-  AsyncTcpEndpoint a(Opts(1, base));
+  AsyncTcpEndpoint a(Opts(1));
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(base);
+  addr.sin_port = htons(a.listen_port());
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   std::uint8_t prefix[4];
@@ -202,8 +193,8 @@ TEST(AsyncTcp, OversizedLengthPrefixRejectedBeforeAllocation) {
   ::close(fd);
 
   // And the endpoint is still serving: a real message gets through.
-  AsyncTcpEndpoint b(Opts(2, static_cast<std::uint16_t>(base + 1)));
-  b.AddPeer(1, base);
+  AsyncTcpEndpoint b(Opts(2));
+  Link(a, b);
   b.Send(Make(1, Bytes{7}));
   auto m = a.ReceiveWait(3000);
   ASSERT_TRUE(m.has_value());
@@ -211,8 +202,7 @@ TEST(AsyncTcp, OversizedLengthPrefixRejectedBeforeAllocation) {
 }
 
 TEST(AsyncTcp, ReceiveWaitTimesOut) {
-  const std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 16);
-  AsyncTcpEndpoint a(Opts(1, base));
+  AsyncTcpEndpoint a(Opts(1));
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(a.ReceiveWait(50).has_value());
   EXPECT_GE(std::chrono::steady_clock::now() - start,

@@ -2,12 +2,14 @@
 // mp_drill).
 //
 // The acceptance drill of docs/deployment.md: launch n=10 real host
-// processes, upload a file, then SIGKILL t=2 of them mid-refresh-window.
-// The window must still complete (quorum refresh with wedge-abort + retry);
-// the supervisor must restart the dead processes; the coordinator must put
-// the fresh processes through the secure-reboot + share-recovery path; and
-// the file must download bit-identically afterwards. A second, undisturbed
-// window then proves the cluster is fully healed, not limping.
+// processes, upload a file, then SIGKILL t=2 of them right after the first
+// refresh round is launched. The window -- the Hypervisor's one
+// implementation, over a ProcessFleet -- must still complete (quorum refresh
+// with wedge-abort + retry); the supervisor must restart the dead processes;
+// the restart schedule must reboot them and recover their shares; and the
+// file must download bit-identically afterwards. A second, undisturbed
+// window then proves the cluster is fully healed, not limping: it reboots
+// every host by schedule with no deferral and no failure.
 #include <signal.h>
 #include <unistd.h>
 
@@ -22,8 +24,8 @@
 #include "net/async_tcp.h"
 #include "pisces/client.h"
 #include "pisces/mp_config.h"
-#include "pisces/mp_coordinator.h"
 #include "pisces/mp_supervisor.h"
+#include "pisces/process_fleet.h"
 
 #ifndef PISCES_HOSTD_PATH
 #error "build must define PISCES_HOSTD_PATH"
@@ -49,9 +51,9 @@ int main() {
   cfg.l = 2;
   cfg.r = 1;
   cfg.field_bits = 256;
-  // Spread across runs to dodge TIME_WAIT collisions with other test
-  // binaries (tests use 40000..60000; keep the 13-port block inside it).
-  cfg.base_port = static_cast<std::uint16_t>(42000 + (::getpid() % 1500) * 12);
+  // A fixed block below Linux's ephemeral range (32768-60999), so no
+  // outgoing connection can hold one of its ports: 31200-31211.
+  cfg.base_port = 31200;
   cfg.seed = 20'170'605;  // ICDCS'17
   cfg.heartbeat_ms = 100;
   cfg.deadline_ms = 8000;
@@ -76,15 +78,12 @@ int main() {
   }
   hyper_ep.AddPeer(net::kClientId, cfg.ClientPort());
 
-  MpCoordinator coord(cfg, hyper_ep);
-  coord.SetTick([&supervisor] { supervisor.Poll(); });
-
-  auto [client_cert, client_sk] = coord.IssueClient();
-  if (!coord.BootAll()) return Fail("initial cluster bring-up");
-  const auto quorum = std::max<std::size_t>(2 * cfg.t + 1,
-                                            cfg.ToParams().degree() + 1);
-  std::printf("drill: %u hosts booted (t=%u, quorum=%zu)\n", cfg.n, cfg.t,
-              quorum);
+  ProcessFleet fleet(cfg, hyper_ep);
+  fleet.SetTick([&supervisor] { supervisor.Poll(); });
+  Hypervisor hyper(HypervisorConfigFor(cfg), fleet, hyper_ep,
+                   crypto::SchnorrGroup::Default());
+  auto [client_cert, client_sk] = hyper.EnrollExternal(net::kClientId);
+  std::printf("drill: %u hosts booted (t=%u)\n", cfg.n, cfg.t);
 
   // Stock client over its own async endpoint.
   net::AsyncTcpOptions copts;
@@ -103,11 +102,12 @@ int main() {
   cc.ctx = std::make_shared<const field::FpCtx>(
       field::StandardPrimeBe(cfg.field_bits));
   cc.encrypt_links = cfg.encrypt;
-  Client client(cc, client_ep, crypto::SchnorrGroup::Default(), coord.ca_pk(),
-                client_cert, client_sk);
-  for (const auto& [id, cert] : coord.directory()) {
+  Client client(cc, client_ep, crypto::SchnorrGroup::Default(),
+                hyper.ca_public_key(), client_cert, client_sk);
+  for (const auto& [id, cert] : hyper.directory()) {
     if (id != net::kClientId) client.InstallPeerCert(cert);
   }
+  AnnounceCert(client_ep, client_cert, cfg.n);
 
   auto pump_client = [&](auto done, int timeout_ms) {
     const auto deadline = std::chrono::steady_clock::now() +
@@ -124,17 +124,17 @@ int main() {
 
   Rng file_rng(cfg.seed + 55);
   const Bytes file = file_rng.RandomBytes(6 * 1024 + 123);
-  const FileMeta meta = client.BeginUpload(1, file);
+  client.BeginUpload(1, file);
   if (!pump_client([&] { return client.UploadAcks(1) == cfg.n; }, 20'000)) {
     return Fail("upload not acknowledged by all hosts");
   }
   client.FinishUpload(1);
-  coord.RegisterUpload(meta);
   std::printf("drill: uploaded %zu bytes\n", file.size());
 
-  // THE DRILL: SIGKILL t hosts right after the refresh round is launched.
+  // THE DRILL: SIGKILL t hosts right after the first refresh round of the
+  // window is launched.
   const std::vector<std::uint32_t> victims = {1, 4};
-  coord.SetMidWindowHook([&] {
+  fleet.SetSettleHook([&] {
     for (std::uint32_t v : victims) {
       if (!supervisor.Signal(v, SIGKILL)) {
         std::printf("drill: WARNING victim %u was not running\n", v);
@@ -143,26 +143,25 @@ int main() {
     std::printf("drill: SIGKILLed hosts 1 and 4 mid-window\n");
   });
 
-  const MpWindowReport report = coord.RunWindow();
-  std::printf("drill: window done: refresh %s, %u attempts, %u reboots, "
-              "%u deadline expiries, %u stale resyncs, %llu restarts\n",
-              report.refresh_ok ? "ok" : "FAILED", report.refresh_attempts,
-              report.hosts_rebooted, report.deadline_expiries,
-              report.stale_resyncs,
+  const WindowReport report = hyper.RunUpdateWindow();
+  std::printf("drill: window done: %s, %zu reboots (%zu deferred), %llu "
+              "refresh retries, %llu recovery retries, %llu restarts\n",
+              report.ok ? "ok" : "FAILED", report.reboots,
+              report.reboots_deferred,
+              static_cast<unsigned long long>(report.refresh_retries),
+              static_cast<unsigned long long>(report.recovery_retries),
               static_cast<unsigned long long>(supervisor.restarts()));
-  if (!report.refresh_ok) return Fail("refresh did not complete");
+  for (const std::string& f : report.failures) {
+    std::printf("drill:   %s\n", f.c_str());
+  }
+  if (!report.ok) return Fail("window did not complete");
   if (supervisor.restarts() < victims.size()) {
     return Fail("supervisor did not restart the killed hosts");
   }
-
-  // Any victim not yet rebooted rides the announcement queue; flush it.
-  coord.ProcessAnnouncements();
+  const std::vector<HostStatus> status = fleet.Survey();
   for (std::uint32_t v : victims) {
-    auto status = coord.QueryStatus(v);
-    if (!status || !status->online) return Fail("victim not back online");
-    bool has_file = false;
-    for (std::uint64_t f : status->files) has_file |= (f == 1);
-    if (!has_file) return Fail("victim lost the file's shares");
+    if (!status[v].online) return Fail("victim not back online");
+    if (!status[v].Holds(1)) return Fail("victim lost the file's shares");
   }
   std::printf("drill: victims rebooted and recovered their shares\n");
 
@@ -184,11 +183,18 @@ int main() {
   if (back != file) return Fail("download is not bit-identical");
   std::printf("drill: download bit-identical after crash-restart\n");
 
-  // A clean window proves the cluster healed, not merely survived.
-  const MpWindowReport calm = coord.RunWindow();
-  if (!calm.refresh_ok) return Fail("post-recovery window failed");
-  if (calm.hosts_rebooted != 0) {
-    return Fail("post-recovery window still rebooting hosts");
+  // A clean window proves the cluster healed, not merely survived: the
+  // restart schedule reboots every host, none is deferred, nothing fails.
+  const WindowReport calm = hyper.RunUpdateWindow();
+  std::printf("drill: calm window: %s, %zu reboots (%zu deferred), %zu "
+              "failures\n",
+              calm.ok ? "ok" : "FAILED", calm.reboots, calm.reboots_deferred,
+              calm.failures.size());
+  if (!calm.ok || !calm.failures.empty()) {
+    return Fail("post-recovery window failed");
+  }
+  if (calm.reboots != cfg.n || calm.reboots_deferred != 0) {
+    return Fail("post-recovery window did not reboot every host by schedule");
   }
 
   supervisor.StopAll();

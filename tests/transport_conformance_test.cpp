@@ -4,12 +4,13 @@
 //  * SimEndpoint/SimNet -- the deterministic testing substrate;
 //  * AsyncTcpEndpoint   -- the supervised deployment transport.
 //
-// The contract the host/client/coordinator layers actually rely on:
+// The contract the host/client/hypervisor layers actually rely on:
 //  1. per-link FIFO: messages between a live pair arrive in send order;
 //  2. timeout semantics: a bounded receive on a silent link returns empty
 //     (it never blocks forever and never fabricates a message);
 //  3. reconnect-after-restart: after an endpoint crashes and a replacement
-//     comes up at the same address, resent traffic eventually flows again
+//     comes up (its peers told where it listens), resent traffic eventually
+//     flows again
 //     (individual in-flight messages MAY be lost -- every protocol layer
 //     already tolerates loss, so the suite asserts eventual delivery under
 //     resends, not lossless handoff);
@@ -22,7 +23,6 @@
 //     every endpoint hears from every other one.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -34,11 +34,6 @@
 
 namespace pisces::net {
 namespace {
-
-std::uint16_t BasePort() {
-  // Offset +200 keeps clear of async_tcp_test.cpp's range.
-  return static_cast<std::uint16_t>(40200 + (::getpid() % 2000) * 10);
-}
 
 Message Make(std::uint32_t from, std::uint32_t to, Bytes payload) {
   Message m;
@@ -90,11 +85,11 @@ class SimFabric : public Fabric {
 
 class AsyncTcpFabric : public Fabric {
  public:
-  AsyncTcpFabric(std::uint16_t base, std::uint32_t count,
+  explicit AsyncTcpFabric(std::uint32_t count,
                  std::size_t send_cap = 32u << 20,
                  std::size_t recv_cap = 64u << 20,
                  std::uint64_t stall_ms = 10'000)
-      : base_(base), send_cap_(send_cap), recv_cap_(recv_cap),
+      : send_cap_(send_cap), recv_cap_(recv_cap),
         stall_ms_(stall_ms), eps_(count) {
     for (std::uint32_t id = 1; id <= count; ++id) Boot(id);
   }
@@ -116,7 +111,6 @@ class AsyncTcpFabric : public Fabric {
   void Boot(std::uint32_t id) {
     AsyncTcpOptions o;
     o.id = id;
-    o.listen_port = static_cast<std::uint16_t>(base_ + id);
     o.seed = 11 + id;
     o.heartbeat_interval_ms = 50;
     o.backoff_max_ms = 100;
@@ -124,38 +118,33 @@ class AsyncTcpFabric : public Fabric {
     o.recv_queue_cap_bytes = recv_cap_;
     o.backpressure_stall_ms = stall_ms_;
     eps_[id - 1] = std::make_unique<AsyncTcpEndpoint>(o);
+    // Each endpoint listens on an OS-chosen port; a (re)booted one is
+    // linked with every endpoint that already exists.
     for (std::uint32_t other = 1; other <= eps_.size(); ++other) {
-      if (other == id) continue;
-      eps_[id - 1]->AddPeer(other, static_cast<std::uint16_t>(base_ + other));
+      if (other == id || eps_[other - 1] == nullptr) continue;
+      eps_[id - 1]->AddPeer(other, eps_[other - 1]->listen_port());
+      eps_[other - 1]->AddPeer(id, eps_[id - 1]->listen_port());
     }
   }
-  std::uint16_t base_;
   std::size_t send_cap_, recv_cap_;
   std::uint64_t stall_ms_;
   std::vector<std::unique_ptr<AsyncTcpEndpoint>> eps_;
 };
 
-// Fabric factories, so each check gets a fresh substrate on fresh ports
-// (an AsyncTcpFabric of `count` endpoints listens on base+1 .. base+count).
-using Factory =
-    std::function<std::unique_ptr<Fabric>(std::uint16_t base,
-                                          std::uint32_t count)>;
+// Fabric factories, so each check gets a fresh substrate on fresh ports.
+using Factory = std::function<std::unique_ptr<Fabric>(std::uint32_t count)>;
 std::vector<Factory> AllFabrics() {
   return {
-      [](std::uint16_t, std::uint32_t count) {
-        return std::make_unique<SimFabric>(count);
-      },
-      [](std::uint16_t base, std::uint32_t count) {
-        return std::make_unique<AsyncTcpFabric>(base, count);
+      [](std::uint32_t count) { return std::make_unique<SimFabric>(count); },
+      [](std::uint32_t count) {
+        return std::make_unique<AsyncTcpFabric>(count);
       },
   };
 }
 
 TEST(TransportConformance, PerLinkOrdering) {
-  std::uint16_t base = BasePort();
   for (const auto& make : AllFabrics()) {
-    auto f = make(base, 2);
-    base = static_cast<std::uint16_t>(base + 3);
+    auto f = make(2);
     SCOPED_TRACE(f->name());
     for (std::uint8_t i = 0; i < 30; ++i) f->Send(1, 2, Bytes{i});
     for (std::uint8_t i = 0; i < 30; ++i) {
@@ -173,10 +162,8 @@ TEST(TransportConformance, PerLinkOrdering) {
 }
 
 TEST(TransportConformance, TimeoutOnSilentLink) {
-  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 20);
   for (const auto& make : AllFabrics()) {
-    auto f = make(base, 2);
-    base = static_cast<std::uint16_t>(base + 3);
+    auto f = make(2);
     SCOPED_TRACE(f->name());
     EXPECT_FALSE(f->Recv(1, 50).has_value());
     EXPECT_FALSE(f->Recv(2, 50).has_value());
@@ -184,17 +171,16 @@ TEST(TransportConformance, TimeoutOnSilentLink) {
 }
 
 TEST(TransportConformance, ReconnectAfterRestart) {
-  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 40);
   for (const auto& make : AllFabrics()) {
-    auto f = make(base, 2);
-    base = static_cast<std::uint16_t>(base + 3);
+    auto f = make(2);
     SCOPED_TRACE(f->name());
 
     f->Send(1, 2, Bytes{1});
     ASSERT_TRUE(f->Recv(2, 3000).has_value());
 
-    // Receiver crashes and restarts at the same address. Messages in flight
-    // across the crash may be lost; resent traffic must eventually flow.
+    // Receiver crashes and restarts (over TCP on a fresh port its peer is
+    // re-pointed at). Messages in flight across the crash may be lost;
+    // resent traffic must eventually flow.
     f->Restart(2);
     bool delivered = false;
     for (int attempt = 0; attempt < 40 && !delivered; ++attempt) {
@@ -217,13 +203,12 @@ TEST(TransportConformance, ReconnectAfterRestart) {
 }
 
 TEST(TransportConformance, BackpressureStallsAndResumes) {
-  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 60);
   // Small user-space queues (256 KiB send, 64 KiB recv) against an 8 MiB
   // burst: with the receiver paused, kernel socket buffers hold at most a
   // few hundred KiB (autotuning only grows them for a *reading* app), so the
   // sender must hit its queue cap and stall. The 30 s stall budget is never
   // reached -- the drainer resumes long before.
-  auto f = std::make_unique<AsyncTcpFabric>(base, 2, 256 * 1024, 64 * 1024,
+  auto f = std::make_unique<AsyncTcpFabric>(2, 256 * 1024, 64 * 1024,
                                             30'000);
   ASSERT_TRUE(f->HasBackpressure());
 
@@ -246,14 +231,12 @@ TEST(TransportConformance, BackpressureStallsAndResumes) {
 }
 
 TEST(TransportConformance, LargePayloadRoundTrip) {
-  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 80);
   Bytes big(1 << 20);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint8_t>(i * 7);
   }
   for (const auto& make : AllFabrics()) {
-    auto f = make(base, 2);
-    base = static_cast<std::uint16_t>(base + 3);
+    auto f = make(2);
     SCOPED_TRACE(f->name());
     f->Send(1, 2, big);
     auto m = f->Recv(2, 5000);
@@ -265,10 +248,8 @@ TEST(TransportConformance, LargePayloadRoundTrip) {
 
 TEST(TransportConformance, AllToAllMeshOfFour) {
   constexpr std::uint32_t kEndpoints = 4;
-  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 90);
   for (const auto& make : AllFabrics()) {
-    auto f = make(base, kEndpoints);
-    base = static_cast<std::uint16_t>(base + kEndpoints + 1);
+    auto f = make(kEndpoints);
     SCOPED_TRACE(f->name());
     for (std::uint32_t i = 1; i <= kEndpoints; ++i) {
       for (std::uint32_t j = 1; j <= kEndpoints; ++j) {

@@ -3,11 +3,12 @@
 //   $ pisces_mp --config <deployment.conf> [--windows N]
 //
 // Reads the deployment config, spawns one pisces_hostd per host (restarting
-// any that crash), and embeds the hypervisor/coordinator: it boots the
-// cluster, uploads a demo file through the stock client, runs N proactive
-// update windows (refresh + secure-reboot schedule is driven by crash
-// announcements), and verifies a bit-exact download before shutting the
-// fleet down. Exit status 0 means every step held.
+// any that crash), and embeds the hypervisor over a ProcessFleet: it boots
+// the cluster, uploads a demo file through the stock client, runs N
+// proactive update windows (refresh, then every host rebooted r at a time by
+// the restart schedule with share recovery after each batch), and verifies a
+// bit-exact download before shutting the fleet down. Exit status 0 means
+// every step held.
 //
 // The hostd binary is named by the config's `hostd` key; when absent the
 // launcher assumes it sits next to this binary.
@@ -22,9 +23,10 @@
 #include "field/primes.h"
 #include "net/async_tcp.h"
 #include "pisces/client.h"
+#include "pisces/hypervisor.h"
 #include "pisces/mp_config.h"
-#include "pisces/mp_coordinator.h"
 #include "pisces/mp_supervisor.h"
+#include "pisces/process_fleet.h"
 
 namespace {
 
@@ -80,14 +82,11 @@ int main(int argc, char** argv) {
   }
   hyper_ep.AddPeer(net::kClientId, cfg.ClientPort());
 
-  MpCoordinator coord(cfg, hyper_ep);
-  coord.SetTick([&supervisor] { supervisor.Poll(); });
-
-  auto [client_cert, client_sk] = coord.IssueClient();
-  if (!coord.BootAll()) {
-    std::printf("FAILED: cluster bring-up\n");
-    return 1;
-  }
+  ProcessFleet fleet(cfg, hyper_ep);
+  fleet.SetTick([&supervisor] { supervisor.Poll(); });
+  Hypervisor hyper(HypervisorConfigFor(cfg), fleet, hyper_ep,
+                   crypto::SchnorrGroup::Default());
+  auto [client_cert, client_sk] = hyper.EnrollExternal(net::kClientId);
   std::printf("cluster booted (%u hosts)\n", cfg.n);
 
   // Stock client over its own endpoint.
@@ -107,11 +106,12 @@ int main(int argc, char** argv) {
   cc.ctx = std::make_shared<const field::FpCtx>(
       field::StandardPrimeBe(cfg.field_bits));
   cc.encrypt_links = cfg.encrypt;
-  Client client(cc, client_ep, crypto::SchnorrGroup::Default(), coord.ca_pk(),
-                client_cert, client_sk);
-  for (const auto& [id, cert] : coord.directory()) {
+  Client client(cc, client_ep, crypto::SchnorrGroup::Default(),
+                hyper.ca_public_key(), client_cert, client_sk);
+  for (const auto& [id, cert] : hyper.directory()) {
     if (id != net::kClientId) client.InstallPeerCert(cert);
   }
+  AnnounceCert(client_ep, client_cert, cfg.n);
 
   auto pump_client = [&](auto done, int timeout_ms) {
     const auto deadline = std::chrono::steady_clock::now() +
@@ -128,23 +128,25 @@ int main(int argc, char** argv) {
 
   Rng file_rng(cfg.seed + 55);
   const Bytes file = file_rng.RandomBytes(8 * 1024);
-  const FileMeta meta = client.BeginUpload(1, file);
+  client.BeginUpload(1, file);
   if (!pump_client([&] { return client.UploadAcks(1) == cfg.n; }, 15000)) {
     std::printf("FAILED: upload not acknowledged by all hosts\n");
     return 1;
   }
   client.FinishUpload(1);
-  coord.RegisterUpload(meta);
   std::printf("uploaded %zu bytes to %u hosts\n", file.size(), cfg.n);
 
   for (int w = 0; w < windows; ++w) {
-    const MpWindowReport report = coord.RunWindow();
-    std::printf("window %d: refresh %s (%u attempts), %u reboots, "
-                "%u deadline expiries\n",
-                w, report.refresh_ok ? "ok" : "FAILED",
-                report.refresh_attempts, report.hosts_rebooted,
-                report.deadline_expiries);
-    if (!report.refresh_ok) return 1;
+    const WindowReport report = hyper.RunUpdateWindow();
+    std::printf("window %d: %s, %zu reboots (%zu deferred), %llu refresh "
+                "retries\n",
+                w, report.ok ? "ok" : "FAILED", report.reboots,
+                report.reboots_deferred,
+                static_cast<unsigned long long>(report.refresh_retries));
+    for (const std::string& f : report.failures) {
+      std::printf("  %s\n", f.c_str());
+    }
+    if (!report.ok) return 1;
   }
 
   client.BeginDownload(pisces::ReadSpec::Classic(1));
